@@ -19,8 +19,9 @@ from .blockwise import (
     product_block,
     shifted,
 )
-from .recip import RecipPlan, recip, recip_block_iter, third_order_step_identity_check
-from .sqrt import SqrtPlan, choose_params, sqrt, sqrt_block_iter, sqrt_rem
+from .plan import BlockPlan
+from .recip import recip, recip_block_iter, third_order_step_identity_check
+from .sqrt import choose_params, sqrt, sqrt_block_iter, sqrt_rem
 from .transform import (
     Poly,
     Spectrum,
@@ -38,12 +39,11 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlockPlan",
     "BlockSeries",
     "MissingSpectrumError",
     "Poly",
-    "RecipPlan",
     "Spectrum",
-    "SqrtPlan",
     "TransformCache",
     "TransformLedger",
     "UnsupportedLengthError",

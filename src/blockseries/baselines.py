@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .transform import (
@@ -12,6 +14,27 @@ from .transform import (
     next_supported,
     require_unit_constant,
 )
+
+# Transform-length spans (a, b) of the doubling steps, L = next_supported(a*k + b*k2),
+# and the transforms each step performs.
+RECIP_SPAN = (3, 0)  # g^2 * f wrapped modulo x^L - 1 is exact above index k
+RECIP_STEP_TRANSFORMS = 3  # 2 forward + 1 inverse
+SQRT_SPAN = (2, 1)  # f * v^2 has degree < 2k + k2 - 2
+SQRT_STEP_TRANSFORMS = 10  # 6 forward + 4 inverse
+
+
+def doubling_schedule(n: int, span: tuple[int, int]) -> Iterator[tuple[int, int, int]]:
+    """Steps (k, k2, length) of a doubling iteration from precision 1 to n.
+
+    Each step extends the precision from k to k2 = min(2k, n) with transforms
+    of length next_supported(a*k + b*k2), where span = (a, b).
+    """
+    a, b = span
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        yield k, k2, next_supported(a * k + b * k2)
+        k = k2
 
 
 def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
@@ -30,10 +53,7 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
     fx = np.zeros(n, dtype=np.complex128)
     fx[: min(len(f), n)] = f[:n]
     g = np.ones(1, dtype=np.complex128)
-    k = 1
-    while k < n:
-        k2 = min(2 * k, n)
-        length = next_supported(3 * k)
+    for k, k2, length in doubling_schedule(n, RECIP_SPAN):
         fs = forward(fx[:k2], length, ledger)
         gs = forward(g, length, ledger)
         prod = inverse(gs * gs * fs, ledger)
@@ -41,7 +61,6 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
         newg[:k] = g
         newg[k:] = -prod[k:k2]
         g = newg
-        k = k2
     return g
 
 
@@ -61,11 +80,7 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
     fx[: min(len(f), n)] = f[:n]
     g = np.ones(1, dtype=np.complex128)
     v = np.ones(1, dtype=np.complex128)
-    k = 1
-    while k < n:
-        k2 = min(2 * k, n)
-        # Largest product below is f * v^2 with deg < 2k + k2 - 2.
-        length = next_supported(2 * k + k2)
+    for k, k2, length in doubling_schedule(n, SQRT_SPAN):
         fs = forward(fx[:k2], length, ledger)
         vs = forward(v, length, ledger)
         fv2 = inverse(vs * vs * fs, ledger)[:k2]
@@ -81,5 +96,4 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
         newg = 0.5 * upd
         newg[:k] += g
         g = newg
-        k = k2
     return g, v

@@ -16,10 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import baselines, oracle
-from .corpus import RNG_NAME, random_monic, random_series
-from .recip import choose_params as recip_params
+from .corpus import RNG_NAME, conditioned_monic, conditioned_series
+from .plan import RECIP, SQRT, choose_plan
 from .recip import recip
-from .sqrt import choose_params as sqrt_params
 from .sqrt import sqrt, sqrt_rem
 from .transform import TransformLedger
 
@@ -121,9 +120,9 @@ def run_case(
     max_error = None
 
     if op == "sqrt":
-        plan = sqrt_params(n, blocks)
+        plan = choose_plan(SQRT, n, blocks)
         m = block_size if block_size is not None else plan.block_size
-        f = random_series(seed, n)
+        f = conditioned_series(seed, n)
         t0 = time.perf_counter_ns()
         g = sqrt(f, n, ledger, blocks=plan.blocks, block_size=m, base_ledger=base)
         wall = time.perf_counter_ns() - t0
@@ -132,9 +131,9 @@ def run_case(
         if n <= ORACLE_CUTOFF:
             max_error = float(np.abs(g - oracle.sqrt_recurrence(f, n)).max())
     elif op == "recip":
-        plan = recip_params(n, blocks)
+        plan = choose_plan(RECIP, n, blocks)
         m = block_size if block_size is not None else plan.block_size
-        f = random_series(seed, n)
+        f = conditioned_series(seed, n)
         t0 = time.perf_counter_ns()
         g = recip(f, n, ledger, blocks=plan.blocks, block_size=m, base_ledger=base)
         wall = time.perf_counter_ns() - t0
@@ -143,7 +142,7 @@ def run_case(
         if n <= ORACLE_CUTOFF:
             max_error = float(np.abs(g - oracle.recip_recurrence(f, n)).max())
     elif op == "sqrtrem":
-        f = random_monic(seed, 2 * n)
+        f = conditioned_monic(seed, 2 * n)
         cap: dict = {}
         t0 = time.perf_counter_ns()
         g, rem = sqrt_rem(f, ledger, blocks=blocks, base_ledger=base, capture=cap)
@@ -154,7 +153,7 @@ def run_case(
             resid[:n] -= rem
             max_error = float(np.abs(resid).max())
     elif op == "recip_schonhage":
-        f = random_series(seed, n)
+        f = conditioned_series(seed, n)
         t0 = time.perf_counter_ns()
         g = baselines.recip_schonhage(f, n, ledger)
         wall = time.perf_counter_ns() - t0
@@ -162,7 +161,7 @@ def run_case(
         if n <= ORACLE_CUTOFF:
             max_error = float(np.abs(g - oracle.recip_recurrence(f, n)).max())
     elif op == "sqrt_newton_coupled":
-        f = random_series(seed, n)
+        f = conditioned_series(seed, n)
         t0 = time.perf_counter_ns()
         g, _ = baselines.sqrt_newton_coupled(f, n, ledger)
         wall = time.perf_counter_ns() - t0

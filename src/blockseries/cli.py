@@ -17,11 +17,10 @@ import numpy as np
 
 from . import transform
 from .bench import CSV_FIELDS, run_bench
-from .corpus import random_monic, random_series
-from .recip import choose_params as recip_params
+from .corpus import conditioned_monic, conditioned_series
+from .plan import RECIP, SQRT, choose_plan
 from .recip import recip
 from .selftest import run_selftest
-from .sqrt import choose_params as sqrt_params
 from .sqrt import sqrt, sqrt_rem
 from .transform import TransformLedger
 
@@ -104,7 +103,7 @@ def main():
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False),
               help="Input coefficient file (one `re` or `re im` per line, # comments).")
 @click.option("--random", "random_input", is_flag=True,
-              help="Use a seeded random input instead of a file (needs --n).")
+              help="Use a seeded random l1-conditioned input instead of a file (needs --n).")
 @click.option("--n", "n", type=int,
               help="Output precision; for sqrtrem the half-degree of a --random input.")
 @click.option("--blocks", type=int, help="Override the block count (r or s).")
@@ -117,11 +116,13 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
     sources = sum(x is not None and x is not False for x in (coeffs, infile, random_input))
     if sources != 1:
         raise click.UsageError("need exactly one of --coeffs, --in, --random")
+    if op == "sqrtrem" and block_size is not None:
+        raise click.UsageError("--block-size does not apply to sqrtrem")
     try:
         if random_input:
             if n is None:
                 raise ValueError("--random needs --n")
-            f = random_monic(seed, 2 * n) if op == "sqrtrem" else random_series(seed, n)
+            f = conditioned_monic(seed, 2 * n) if op == "sqrtrem" else conditioned_series(seed, n)
         else:
             f = _parse_inline(coeffs) if coeffs is not None else _read_coeff_file(infile)
 
@@ -146,11 +147,8 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
         else:
             if n is None:
                 raise ValueError(f"{op} needs --n")
-            if op == "sqrt":
-                fn, params = sqrt, sqrt_params
-            else:
-                fn, params = recip, recip_params
-            plan = params(n, blocks)
+            fn, scheme = (sqrt, SQRT) if op == "sqrt" else (recip, RECIP)
+            plan = choose_plan(scheme, n, blocks)
             m = block_size if block_size is not None else plan.block_size
             nb = plan.blocks
             g = fn(f, n, ledger, blocks=nb, block_size=m, base_ledger=base)
@@ -181,6 +179,8 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
 @click.option("--no-baselines", is_flag=True, help="Skip the classical comparison rows.")
 def bench(op, ns, blocks_list, block_size, seed, fmt, no_baselines):
     """Measure transform counts, weighted costs, and wall times."""
+    if op == "sqrtrem" and block_size is not None:
+        raise click.UsageError("--block-size does not apply to sqrtrem")
     n_values = _parse_int_list(ns, "--n")
     blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list else [None]
     try:

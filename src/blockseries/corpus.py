@@ -39,6 +39,17 @@ def conditioned_series(seed: int, n: int) -> np.ndarray:
     return f
 
 
+def conditioned_monic(seed: int, degree: int) -> np.ndarray:
+    """Monic polynomial of even degree whose reversal is a conditioned series.
+
+    The square root with remainder works on the reversal, so its root stays
+    bounded at any degree, unlike that of random_monic.
+    """
+    if degree < 2 or degree % 2:
+        raise ValueError("degree must be even and >= 2")
+    return conditioned_series(seed, degree + 1)[::-1].copy()
+
+
 def random_monic(seed: int, degree: int) -> np.ndarray:
     """Monic polynomial of the given even degree, lower entries in [-1/4, 1/4]."""
     if degree < 2 or degree % 2:

@@ -12,9 +12,6 @@ inverse) beyond the base case.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import baselines
@@ -27,40 +24,20 @@ from .blockwise import (
     shifted,
 )
 from .oracle import mul_schoolbook
+from .plan import RECIP, BlockPlan, choose_plan
 from .transform import (
     TransformLedger,
     as_series,
     forward,
     inverse,
-    next_supported,
     pointwise_mul,
     require_unit_constant,
 )
 
-MAX_BLOCKS = 16
 
-
-@dataclass(frozen=True)
-class RecipPlan:
-    """Chosen precision split: 3 * blocks * block_size >= n."""
-
-    n: int
-    blocks: int
-    block_size: int
-
-
-def choose_params(n: int, blocks_override: int | None = None) -> RecipPlan:
-    """Pick the block-count parameter s and block size for precision n."""
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    if blocks_override is not None:
-        if blocks_override < 1:
-            raise ValueError("block count must be >= 1")
-        s = blocks_override
-    else:
-        s = min(MAX_BLOCKS, max(1, round(math.log2(n) / 6)))
-    block_size = next_supported(-(-n // (3 * s)))
-    return RecipPlan(n, s, block_size)
+def choose_params(n: int, blocks_override: int | None = None) -> BlockPlan:
+    """Block parameter s and supported block size m, 3 * s * m >= n (see plan.py)."""
+    return choose_plan(RECIP, n, blocks_override)
 
 
 def recip_block_iter(

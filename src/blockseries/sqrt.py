@@ -12,47 +12,24 @@ the base case.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import baselines
 from .blockwise import BlockSeries, TransformCache, decompose, product_block
+from .plan import SQRT, BlockPlan, choose_plan
 from .transform import (
     TransformLedger,
     as_series,
     forward,
     inverse,
-    next_supported,
     pointwise_mul,
     require_unit_constant,
 )
 
-MAX_BLOCKS = 32
 
-
-@dataclass(frozen=True)
-class SqrtPlan:
-    """Chosen precision split: blocks * block_size >= n."""
-
-    n: int
-    blocks: int
-    block_size: int
-
-
-def choose_params(n: int, blocks_override: int | None = None) -> SqrtPlan:
-    """Pick the block count and the supported block size for precision n."""
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    if blocks_override is not None:
-        if blocks_override < 1:
-            raise ValueError("block count must be >= 1")
-        blocks = blocks_override
-    else:
-        blocks = min(MAX_BLOCKS, max(1, round(math.log2(n) / 2)))
-    block_size = next_supported(-(-n // blocks))
-    return SqrtPlan(n, blocks, block_size)
+def choose_params(n: int, blocks_override: int | None = None) -> BlockPlan:
+    """Block count r and supported block size m, r * m >= n (see plan.py)."""
+    return choose_plan(SQRT, n, blocks_override)
 
 
 def _sqrt_blocks(

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from blockseries import oracle
 from blockseries.cli import main
+from blockseries.corpus import conditioned_monic
 
 
 @pytest.fixture
@@ -64,9 +65,7 @@ class TestCompute:
         g = parse_coeffs(dst.read_text())
         rem = parse_coeffs((tmp_path / "g.txt.rem").read_text())
         assert len(g) == 9 and len(rem) == 8
-        from blockseries.corpus import random_monic
-
-        f = random_monic(3, 16)
+        f = conditioned_monic(3, 16)
         resid = f - oracle.mul_schoolbook(g, g)
         resid[:8] -= rem
         assert np.abs(resid).max() <= 1e-8
@@ -102,6 +101,28 @@ class TestCompute:
             main, ["compute", "recip", "--coeffs", "1", "--random", "--n", "4"]
         )
         assert result.exit_code == 2
+
+    def test_sqrtrem_block_size_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["compute", "sqrtrem", "--coeffs", "1,2,1", "--block-size", "4"]
+        )
+        assert result.exit_code == 2
+        assert "--block-size" in result.output
+
+    def test_random_sqrtrem_at_2_15(self, runner, tmp_path):
+        # Unconditioned random inputs overflow to non-finite roots at this size.
+        n = 2**15
+        dst = tmp_path / "g.txt"
+        result = runner.invoke(
+            main, ["compute", "sqrtrem", "--random", "--n", str(n), "--out", str(dst)]
+        )
+        assert result.exit_code == 0, result.output
+        g = parse_coeffs(dst.read_text())
+        rem = parse_coeffs((tmp_path / "g.txt.rem").read_text())
+        f = conditioned_monic(0, 2 * n)
+        resid = f - np.convolve(g, g)
+        resid[:n] -= rem
+        assert np.abs(resid).max() <= 1e-9
 
     def test_malformed_file_exit_one(self, runner, tmp_path):
         src = tmp_path / "bad.txt"
@@ -140,6 +161,18 @@ class TestBench:
         lines = result.stdout.strip().splitlines()
         assert lines[0].startswith("op,n,blocks,block_size,forward,inverse")
         assert len(lines) == 3  # header + recip row + baseline row
+
+    def test_sqrt_at_2_15(self, runner):
+        result = runner.invoke(main, ["bench", "sqrt", "--n", "32768", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in result.stdout.strip().splitlines()]
+        assert [r["op"] for r in records] == ["sqrt", "sqrt_newton_coupled"]
+        r = records[0]["blocks"]
+        assert sum(records[0]["forward"].values()) == 2 * r - 1
+
+    def test_sqrtrem_block_size_usage_error(self, runner):
+        result = runner.invoke(main, ["bench", "sqrtrem", "--n", "64", "--block-size", "8"])
+        assert result.exit_code == 2
 
     def test_bad_list_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "sqrt", "--n", "64;128"])

@@ -10,16 +10,18 @@ from blockseries import (
 )
 from blockseries import oracle
 from blockseries.corpus import conditioned_series, random_series
+from blockseries.plan import RECIP, predicted_ns
 from blockseries.recip import choose_params
 
 
 class TestChooseParams:
-    @pytest.mark.parametrize(
-        "n,s,m", [(9, 1, 3), (96, 1, 32), (768, 2, 128), (3072, 2, 512)]
-    )
-    def test_schedule(self, n, s, m):
+    @pytest.mark.parametrize("n", [9, 96, 768, 3072, 2**16, 2**18])
+    def test_schedule(self, n):
         plan = choose_params(n)
-        assert (plan.blocks, plan.block_size) == (s, m)
+        assert 3 * plan.blocks * plan.block_size >= n
+        assert 1 <= plan.blocks <= RECIP.max_blocks
+        costs = [predicted_ns(RECIP, n, s) for s in range(1, RECIP.max_blocks + 1)]
+        assert predicted_ns(RECIP, n, plan.blocks) == min(costs)
 
     def test_coverage(self):
         for n in [1, 5, 100, 4097]:

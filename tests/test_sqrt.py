@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from blockseries import (
 )
 from blockseries import oracle
 from blockseries.corpus import conditioned_series, random_monic, random_series
+from blockseries.plan import SQRT, predicted_ns
 
 
 def oracle_base(f_block, m):
@@ -18,14 +21,26 @@ def oracle_base(f_block, m):
     return g0, oracle.recip_recurrence(g0, m)
 
 
+def assert_cheapest_plan(n):
+    plan = choose_params(n)
+    assert plan.blocks * plan.block_size >= n
+    assert 1 <= plan.blocks <= SQRT.max_blocks
+    costs = [predicted_ns(SQRT, n, k) for k in range(1, SQRT.max_blocks + 1)]
+    assert predicted_ns(SQRT, n, plan.blocks) == min(costs)
+    return plan
+
+
 class TestChooseParams:
     def test_smallest(self):
-        plan = choose_params(4)
-        assert (plan.blocks, plan.block_size) == (1, 4)
+        for n in range(1, 65):
+            assert_cheapest_plan(n)
+        assert choose_params(1) == choose_params(1, 1)
 
     def test_power_of_two(self):
-        plan = choose_params(2**16)
-        assert (plan.blocks, plan.block_size) == (8, 8192)
+        for n in (2**12, 2**16, 2**18):
+            plan = assert_cheapest_plan(n)
+            # The base case is priced in, so the plan splits large n finely.
+            assert plan.blocks > round(math.log2(n) / 2)
 
     def test_override(self):
         plan = choose_params(100, 4)
