@@ -20,7 +20,7 @@ from .blockwise import (
     shifted,
 )
 from .plan import BlockPlan
-from .recip import recip, recip_block_iter, third_order_step_identity_check
+from .recip import recip, recip_block_iter
 from .sqrt import choose_params, sqrt, sqrt_block_iter, sqrt_rem
 from .transform import (
     Poly,
@@ -66,5 +66,4 @@ __all__ = [
     "sqrt_block_iter",
     "sqrt_newton_coupled",
     "sqrt_rem",
-    "third_order_step_identity_check",
 ]

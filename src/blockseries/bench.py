@@ -4,6 +4,9 @@ The interesting fields are machine-independent: the per-length transform
 counts reproduce the 4r-3 / 13s-3 totals exactly, and weighted_cost sums
 length * log2(length) over them, which stands in for time in a way that can
 be compared across machines.  Only wall_ns varies between runs.
+
+OPS is the one table of operations: each name's entry point, plan, seeded
+input, oracle and paper count.  The CLI and the invariant checks read it too.
 """
 
 from __future__ import annotations
@@ -11,36 +14,88 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import baselines, oracle
 from .corpus import RNG_NAME, conditioned_monic, conditioned_series
-from .plan import RECIP, SQRT, choose_plan
+from .plan import RECIP, SQRT, BlockPlan, choose_plan
 from .recip import recip
-from .sqrt import sqrt, sqrt_rem
+from .sqrt import rem_params, sqrt, sqrt_rem
 from .transform import TransformLedger
 
 # Largest n for which bench records include the O(n^2) oracle comparison.
 ORACLE_CUTOFF = 2048
 
-CSV_FIELDS = [
-    "op",
-    "n",
-    "blocks",
-    "block_size",
-    "forward",
-    "inverse",
-    "weighted_cost",
-    "base_cost",
-    "cost_ratio",
-    "cost_ratio_expected",
-    "wall_ns",
-    "max_error",
-    "rng",
-    "seed",
-]
+
+def _blockwise(fn, f, n, ledger, blocks, block_size, base):
+    return fn(f, n, ledger, blocks=blocks, block_size=block_size, base_ledger=base)
+
+
+def _with_remainder(fn, f, n, ledger, blocks, block_size, base):
+    if block_size is not None:
+        raise ValueError("block size does not apply to sqrtrem")
+    return fn(f, ledger, blocks=blocks, base_ledger=base)
+
+
+def _doubling(fn, f, n, ledger, blocks, block_size, base):
+    return fn(f, n, ledger)
+
+
+def _max_abs(x) -> float:
+    return float(np.abs(x).max())
+
+
+def _sqrt_error(f, n, g) -> float:
+    return _max_abs(g - oracle.sqrt_recurrence(f, n))
+
+
+def _recip_error(f, n, g) -> float:
+    return _max_abs(g - oracle.recip_recurrence(f, n))
+
+
+def _remainder_error(f, n, out) -> float:
+    g, rem = out
+    resid = f - oracle.mul_schoolbook(g, g)
+    resid[:n] -= rem
+    return _max_abs(resid)
+
+
+@dataclass(frozen=True)
+class Op:
+    """An operation: how to call it and the oracle and counts it must meet."""
+
+    fn: Callable  # public entry point
+    run: Callable  # (fn, f, n, ledger, blocks, block_size, base_ledger) -> output
+    make_input: Callable[[int, int], np.ndarray]  # (seed, n) -> seeded input
+    error: Callable  # (f, n, output) -> largest deviation from the O(n^2) oracle
+    plan: Callable[[int, int | None], BlockPlan] | None = None  # None: doubling baseline
+    counts: Callable[[int], tuple[int, int]] | None = None  # blocks -> (forward, inverse)
+    unit: int | None = None  # output blocks per block for the cost ratio; None: no ratio
+    baseline: str | None = None
+
+
+OPS: dict[str, Op] = {
+    "sqrt": Op(sqrt, _blockwise, conditioned_series, _sqrt_error, plan=partial(choose_plan, SQRT),
+               counts=SQRT.transforms, unit=SQRT.unit, baseline="sqrt_newton_coupled"),
+    "recip": Op(recip, _blockwise, conditioned_series, _recip_error,
+                plan=partial(choose_plan, RECIP), counts=RECIP.transforms, unit=RECIP.unit,
+                baseline="recip_schonhage"),
+    # +1 forward for the last root block and +r inverse for the high square.
+    "sqrtrem": Op(sqrt_rem, _with_remainder, lambda seed, n: conditioned_monic(seed, 2 * n),
+                  _remainder_error, plan=rem_params, counts=lambda r: (2 * r, 3 * r - 2)),
+    "recip_schonhage": Op(baselines.recip_schonhage, _doubling, conditioned_series, _recip_error),
+    "sqrt_newton_coupled": Op(baselines.sqrt_newton_coupled, _doubling, conditioned_series,
+                              lambda f, n, out: _sqrt_error(f, n, out[0])),
+}
+BLOCKWISE_OPS = [name for name, op in OPS.items() if op.plan is not None]
+
+
+def format_counts(table: dict[int, int]) -> str:
+    return " ".join(f"{k}:{table[k]}" for k in sorted(table))
 
 
 @dataclass
@@ -72,38 +127,20 @@ class BenchRecord:
         return cls(**raw)
 
     def to_csv_row(self) -> list[str]:
-        def counts(table: dict[int, int]) -> str:
-            return " ".join(f"{k}:{table[k]}" for k in sorted(table))
+        return [_csv_cell(getattr(self, name)) for name in CSV_FIELDS]
 
-        def opt(v) -> str:
-            return "" if v is None else str(v)
 
-        return [
-            self.op,
-            str(self.n),
-            opt(self.blocks),
-            opt(self.block_size),
-            counts(self.forward),
-            counts(self.inverse),
-            repr(self.weighted_cost),
-            repr(self.base_cost),
-            opt(self.cost_ratio),
-            opt(self.cost_ratio_expected),
-            str(self.wall_ns),
-            opt(self.max_error),
-            self.rng,
-            str(self.seed),
-        ]
+CSV_FIELDS = [f.name for f in fields(BenchRecord)]
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return format_counts(value) if isinstance(value, dict) else str(value)
 
 
 def _transform_cost(length: int) -> float:
     return length * math.log2(length) if length > 1 else 0.0
-
-
-def _residual_recip(f: np.ndarray, g: np.ndarray) -> float:
-    r = oracle.mul_schoolbook(f, g)[: len(g)]
-    r[0] -= 1.0
-    return float(np.abs(r).max())
 
 
 def run_case(
@@ -114,70 +151,28 @@ def run_case(
     seed: int = 0,
 ) -> BenchRecord:
     """Run one operation and collect its counts, costs, and timing."""
+    if op not in OPS:
+        raise ValueError(f"unknown op {op!r}")
+    spec = OPS[op]
     ledger = TransformLedger()
     base = TransformLedger()
-    ratio = expected = None
-    max_error = None
+    f = spec.make_input(seed, n)
+    t0 = time.perf_counter_ns()
+    out = spec.run(spec.fn, f, n, ledger, blocks, block_size, base)
+    wall = time.perf_counter_ns() - t0
 
-    if op == "sqrt":
-        plan = choose_plan(SQRT, n, blocks)
-        m = block_size if block_size is not None else plan.block_size
-        f = conditioned_series(seed, n)
-        t0 = time.perf_counter_ns()
-        g = sqrt(f, n, ledger, blocks=plan.blocks, block_size=m, base_ledger=base)
-        wall = time.perf_counter_ns() - t0
-        r_equiv, rec_blocks = plan.blocks, plan.blocks
-        expected = (4 * plan.blocks - 3) / (3 * plan.blocks)
-        if n <= ORACLE_CUTOFF:
-            max_error = float(np.abs(g - oracle.sqrt_recurrence(f, n)).max())
-    elif op == "recip":
-        plan = choose_plan(RECIP, n, blocks)
-        m = block_size if block_size is not None else plan.block_size
-        f = conditioned_series(seed, n)
-        t0 = time.perf_counter_ns()
-        g = recip(f, n, ledger, blocks=plan.blocks, block_size=m, base_ledger=base)
-        wall = time.perf_counter_ns() - t0
-        r_equiv, rec_blocks = 3 * plan.blocks, plan.blocks
-        expected = (13 * plan.blocks - 3) / (9 * plan.blocks)
-        if n <= ORACLE_CUTOFF:
-            max_error = float(np.abs(g - oracle.recip_recurrence(f, n)).max())
-    elif op == "sqrtrem":
-        f = conditioned_monic(seed, 2 * n)
-        cap: dict = {}
-        t0 = time.perf_counter_ns()
-        g, rem = sqrt_rem(f, ledger, blocks=blocks, base_ledger=base, capture=cap)
-        wall = time.perf_counter_ns() - t0
-        m, rec_blocks, r_equiv = cap["block_size"], cap["blocks"], None
-        if n <= ORACLE_CUTOFF:
-            resid = f - oracle.mul_schoolbook(g, g)
-            resid[:n] -= rem
-            max_error = float(np.abs(resid).max())
-    elif op == "recip_schonhage":
-        f = conditioned_series(seed, n)
-        t0 = time.perf_counter_ns()
-        g = baselines.recip_schonhage(f, n, ledger)
-        wall = time.perf_counter_ns() - t0
-        m = rec_blocks = r_equiv = None
-        if n <= ORACLE_CUTOFF:
-            max_error = float(np.abs(g - oracle.recip_recurrence(f, n)).max())
-    elif op == "sqrt_newton_coupled":
-        f = conditioned_series(seed, n)
-        t0 = time.perf_counter_ns()
-        g, _ = baselines.sqrt_newton_coupled(f, n, ledger)
-        wall = time.perf_counter_ns() - t0
-        m = rec_blocks = r_equiv = None
-        if n <= ORACLE_CUTOFF:
-            max_error = float(np.abs(g - oracle.sqrt_recurrence(f, n)).max())
-    else:
-        raise ValueError(f"unknown op {op!r}")
-
+    k = m = ratio = expected = None
+    if spec.plan is not None:
+        plan = spec.plan(n, blocks)
+        k, m = plan.blocks, block_size if block_size is not None else plan.block_size
     weighted = ledger.weighted_cost()
-    if r_equiv is not None and m is not None:
-        ratio = weighted / (3 * r_equiv * _transform_cost(2 * m))
+    if spec.unit is not None:
+        ratio = weighted / (3 * spec.unit * k * _transform_cost(2 * m))
+        expected = sum(spec.counts(k)) / (3 * spec.unit * k)
     return BenchRecord(
         op=op,
         n=n,
-        blocks=rec_blocks,
+        blocks=k,
         block_size=m,
         forward=dict(sorted(ledger.forward.items())),
         inverse=dict(sorted(ledger.inverse.items())),
@@ -186,7 +181,7 @@ def run_case(
         cost_ratio=ratio,
         cost_ratio_expected=expected,
         wall_ns=wall,
-        max_error=max_error,
+        max_error=spec.error(f, n, out) if n <= ORACLE_CUTOFF else None,
         rng=RNG_NAME,
         seed=seed,
     )
@@ -201,11 +196,10 @@ def run_bench(
     include_baselines: bool = True,
 ) -> list[BenchRecord]:
     """One record per (n, blocks) pair, plus a baseline row per n."""
-    baseline_op = {"sqrt": "sqrt_newton_coupled", "recip": "recip_schonhage"}.get(op)
     records = []
     for n in ns:
         for blocks in blocks_list:
             records.append(run_case(op, n, blocks=blocks, block_size=block_size, seed=seed))
-        if include_baselines and baseline_op:
-            records.append(run_case(baseline_op, n, seed=seed))
+        if include_baselines and OPS[op].baseline:
+            records.append(run_case(OPS[op].baseline, n, seed=seed))
     return records

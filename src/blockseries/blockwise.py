@@ -88,9 +88,6 @@ class TransformCache:
     def block_size(self) -> int:
         return self.series.block_size
 
-    def has(self, i: int) -> bool:
-        return i in self._entries
-
     def ensure(self, i: int, ledger: TransformLedger) -> Spectrum:
         """Return the spectrum of block i, computing it on first access."""
         if i < 0 or i >= self.series.num_blocks:

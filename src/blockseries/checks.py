@@ -1,0 +1,495 @@
+"""Invariant checks behind the `selftest` CLI command and tests/test_checks.py.
+
+Each check takes ``full`` (False for a quick smoke run), raises AssertionError
+on a violated invariant and otherwise returns a detail string; the details
+carry the maximum observed errors so a failing run points at the broken
+layer.  Count formulas and oracles are read from the op table in bench.py.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import time
+from collections import namedtuple
+from importlib import import_module
+from unittest import mock
+
+import numpy as np
+
+from . import baselines, oracle
+from .bench import OPS, run_case
+from .blockwise import TransformCache, combined_block, decompose, product_block
+from .corpus import random_monic, random_series
+from .recip import recip_block_iter
+from .sqrt import rem_params, sqrt_block_iter
+from .transform import (
+    TransformLedger,
+    as_series,
+    cyclic_convolution,
+    forward,
+    inverse,
+    middle_product,
+    next_supported,
+)
+
+# Sizes of the 20-seed correctness corpus that full mode adds.
+CORPUS_SIZES = (16, 100, 512, 1024)
+
+
+def _require(ok: bool, message: str) -> str:
+    """Raise AssertionError(message) unless ok; return the message otherwise."""
+    # Not an assert statement: checks must hold under python -O too.
+    if not ok:
+        raise AssertionError(message)
+    return message
+
+
+def _max_abs(x) -> float:
+    return float(np.abs(x).max()) if len(x) else 0.0
+
+
+def block_of(coeffs, k: int, m: int) -> np.ndarray:
+    """Block k of a coefficient vector, zero-padded to m."""
+    out = np.zeros(m, dtype=np.complex128)
+    seg = coeffs[k * m : (k + 1) * m]
+    out[: len(seg)] = seg
+    return out
+
+
+def expect_counts(ledger: TransformLedger, length: int, counts, where: str) -> None:
+    """The ledger holds exactly counts = (forward, inverse) transforms, all of one length."""
+    want = tuple({length: c} if c else {} for c in counts)
+    got = (dict(+ledger.forward), dict(+ledger.inverse))
+    _require(got == want, f"{where}: got {got[0]}F {got[1]}I, want {want[0]}F {want[1]}I")
+
+
+def third_order_residual(g, f, n: int) -> float:
+    """Residual of the schoolbook third-order update (no FFT).
+
+    Requires f*g = 1 to order n; forms g' = g*(1 - d*x^n + d^2*x^{2n}) with d
+    read off from f*g and returns max |f*g' - 1| over coefficients below 3n.
+    """
+    f = as_series(f)
+    g = as_series(g)
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    prod = block_of(oracle.mul_schoolbook(f, g), 0, 3 * n)
+    head = prod[:n].copy()
+    head[0] -= 1.0
+    if np.abs(head).max() > 1e-6:
+        raise ValueError("f*g is not 1 to order n")
+    defect = prod[n:]
+    corr = np.zeros(3 * n, dtype=np.complex128)
+    corr[0] = 1.0
+    corr[n:] -= defect
+    corr[2 * n :] += oracle.mul_schoolbook(defect, defect)[:n]
+    gp = block_of(oracle.mul_schoolbook(g, corr), 0, 3 * n)
+    resid = block_of(oracle.mul_schoolbook(f, gp), 0, 3 * n)
+    resid[0] -= 1.0
+    return _max_abs(resid)
+
+
+def transform_roundtrip(full: bool) -> str:
+    sizes = [2, 3, 6, 8, 12, 27, 96, 108, 729, 1536]
+    if full:
+        sizes += [4096, 6561, 9216, 16384]
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    led = TransformLedger()
+    for n in sizes:
+        p = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        worst = max(worst, _max_abs(inverse(forward(p, n, led), led) - p))
+    return _require(worst <= 1e-10, f"max roundtrip error {worst:.3e} (tol 1e-10)")
+
+
+def transform_identities(full: bool) -> str:
+    led = TransformLedger()
+    errs = [
+        _max_abs(forward([1], 2, led) - [1, 1]),
+        _max_abs(forward([0, 1], 2, led) - [1, -1]),
+        _max_abs(forward([1, 2, 3, 4], 4, led) - [10, -2 - 2j, -2, -2 + 2j]),
+    ]
+    for m in [1, 2, 3, 6, 9, 16, 24]:
+        x = np.zeros(m + 1)
+        x[m] = 1.0
+        alt = np.where(np.arange(2 * m) % 2, -1.0, 1.0)
+        errs.append(_max_abs(forward(x, 2 * m, led) - alt))
+    ok_sizes = [next_supported(k) for k in (1, 5, 8, 25, 100)] == [1, 6, 8, 27, 108]
+    return _require(max(errs) <= 1e-12 and ok_sizes,
+                    f"max identity error {max(errs):.3e}, sizes ok {ok_sizes}")
+
+
+def cyclic_convolution_check(full: bool) -> str:
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    led = TransformLedger()
+    for n in [2, 6, 16, 54, 96] + ([1152] if full else []):
+        g1 = rng.uniform(-1, 1, n)
+        g2 = rng.uniform(-1, 1, n)
+        got = cyclic_convolution(g1, g2, n, led)
+        fullp = oracle.mul_schoolbook(g1, g2)
+        want = fullp[:n].copy()
+        want[: n - 1] += fullp[n:]
+        tol = 1e-9 * n * max(1.0, np.abs(fullp).max())
+        worst = max(worst, _max_abs(got - want) / tol)
+    return _require(worst <= 1.0, f"worst error/tolerance ratio {worst:.3e}")
+
+
+def middle_product_check(full: bool) -> str:
+    rng = np.random.default_rng(2)
+    worst = 0.0
+    led = TransformLedger()
+    for n in [1, 2, 8, 27, 48] + ([2048] if full else []):
+        g = rng.uniform(-1, 1, 2 * n)
+        h = rng.uniform(-1, 1, n)
+        got = middle_product(g, h, n, led)
+        want = oracle.middle_product_naive(g, h, n)
+        tol = 1e-9 * n * max(1.0, np.abs(want).max())
+        worst = max(worst, _max_abs(got - want) / max(tol, 1e-300))
+    return _require(worst <= 1.0, f"worst error/tolerance ratio {worst:.3e}")
+
+
+def ledger_exactness(full: bool) -> str:
+    led = TransformLedger()
+    cyclic_convolution([1, 1], [1, 1], 2, led)
+    expect_counts(led, 2, (2, 1), "cyclic convolution at n = 2")
+    led = TransformLedger()
+    middle_product([1, 2, 3, 4], [5, 6], 2, led)
+    expect_counts(led, 4, (2, 1), "middle product at n = 2")
+    return "cyclic = 2F+1I at n, middle = 2F+1I at 2n"
+
+
+def warm_caches(f, g, m, nb, ledger):
+    """Caches of f's and g's nb blocks of size m, every spectrum computed."""
+    fc = TransformCache(decompose(f, m, nb))
+    gc = TransformCache(decompose(g, m, nb))
+    for i in range(nb):
+        fc.ensure(i, ledger)
+        gc.ensure(i, ledger)
+    return fc, gc
+
+
+def _block_error(f, g, fc, gc, k: int, combined: bool, led: TransformLedger) -> float:
+    """Error/tolerance of block k of f*g, or of f*f - f*g; asserts one inverse."""
+    m = fc.block_size
+    snap = led.snapshot()
+    if combined:
+        got = combined_block([(fc, fc, +1), (fc, gc, -1)], k, led)
+        want = block_of(oracle.mul_schoolbook(f, f) - oracle.mul_schoolbook(f, g), k, m)
+    else:
+        got = product_block(fc, gc, k, led)
+        want = block_of(oracle.mul_schoolbook(f, g), k, m)
+    dfwd, dinv = led.delta(snap)
+    _require(not +dfwd and dict(dinv) == {2 * m: 1},
+             f"m={m} k={k}: {dict(dfwd)}F {dict(dinv)}I, want one inverse")
+    return _max_abs(got - want) / (1e-9 * m * (k + 1))
+
+
+def block_products(full: bool) -> str:
+    rng = np.random.default_rng(3)
+    worst, cases = 0.0, 0
+    for m in [1, 2, 4, 8, 16]:
+        for nb in [1, 3, 8]:
+            led = TransformLedger()
+            f = rng.uniform(-1, 1, m * nb)
+            g = rng.uniform(-1, 1, m * nb)
+            fc, gc = warm_caches(f, g, m, nb, led)
+            for k in range(nb):
+                worst = max(worst, _block_error(f, g, fc, gc, k, False, led))
+            worst = max(worst, _block_error(f, g, fc, gc, nb - 1, True, led))
+            cases += nb + 1
+    if full:
+        # 200 randomized cases, product and combined blocks alternating.
+        rng = np.random.default_rng(2024)
+        for case in range(200):
+            m = int(rng.choice([1, 2, 4, 8, 16]))
+            nb = int(rng.integers(1, 9))
+            k = int(rng.integers(0, nb))
+            f = rng.uniform(-1, 1, m * nb)
+            g = rng.uniform(-1, 1, m * nb)
+            led = TransformLedger()
+            fc, gc = warm_caches(f, g, m, nb, led)
+            worst = max(worst, _block_error(f, g, fc, gc, k, case % 2 == 1, led))
+        cases += 200
+    return _require(worst <= 1.0, f"{cases} cases, worst error/tolerance ratio {worst:.3e}")
+
+
+def sqrt_counts(full: bool) -> str:
+    t0 = time.perf_counter()
+    m = 32
+    for r in range(1, 17):
+        fs = decompose(random_series(40 + r, r * m), m, r)
+        g0 = oracle.sqrt_recurrence(fs.blocks[0], m)
+        led = TransformLedger()
+        sqrt_block_iter(fs, g0, oracle.recip_recurrence(g0, m), r, led)
+        expect_counts(led, 2 * m, OPS["sqrt"].counts(r), f"r={r}")
+        _require(led.total() == 4 * r - 3, f"r={r}: {led.total()} transforms, want 4r-3")
+    elapsed = time.perf_counter() - t0
+    _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
+    return "4r-3 transforms at 2m, split 2(r-1)+1 / 2(r-1), r = 1..16"
+
+
+def recip_counts(full: bool) -> str:
+    t0 = time.perf_counter()
+    m = 16
+    for s in range(1, 9):
+        fs = decompose(random_series(60 + s, 3 * s * m), m, 3 * s)
+        led = TransformLedger()
+        recip_block_iter(fs, oracle.recip_recurrence(fs.blocks[0], m), s, led)
+        expect_counts(led, 2 * m, OPS["recip"].counts(s), f"s={s}")
+        _require(led.total() == 13 * s - 3, f"s={s}: {led.total()} transforms, want 13s-3")
+    elapsed = time.perf_counter() - t0
+    _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
+    return "13s-3 transforms at 2m, split 7s-1 / 6s-2, s = 1..8"
+
+
+def _correctness(op: str, residual, sizes: list[int], full: bool) -> str:
+    """Oracle error and residual within 1e-8 * n on 3 seeds per size, plus the
+    20-seed corpus in full mode."""
+    t0 = time.perf_counter()
+    spec = OPS[op]
+    cases = {(n, seed) for n in sizes for seed in range(3)}
+    if full:
+        cases |= {(n, seed) for n in CORPUS_SIZES for seed in range(20)}
+    worst = 0.0
+    for n, seed in sorted(cases):
+        f = spec.make_input(seed, n)
+        g = spec.fn(f, n, TransformLedger())
+        err = max(spec.error(f, n, g), _max_abs(residual(f, g, n)))
+        _require(err <= 1e-8 * n, f"n={n} seed={seed}: error {err:.3e} > 1e-8*n")
+        worst = max(worst, err / (1e-8 * n))
+    elapsed = time.perf_counter() - t0
+    _require(elapsed < 30.0, f"took {elapsed:.1f}s, limit 30s")
+    return f"worst error/tolerance ratio {worst:.3e} over n={sorted({n for n, _ in cases})}"
+
+
+def _sqrt_residual(f, g, n):
+    return oracle.mul_schoolbook(g, g)[:n] - f
+
+
+def _recip_residual(f, g, n):
+    unit = oracle.mul_schoolbook(f, g)[:n]
+    unit[0] -= 1.0
+    return unit
+
+
+def sqrt_correctness(full: bool) -> str:
+    sizes = [16, 100, 512] + ([1024, 4096] if full else [])
+    return _correctness("sqrt", _sqrt_residual, sizes, full)
+
+
+def recip_correctness(full: bool) -> str:
+    return _correctness("recip", _recip_residual, [9, 96, 768] + ([3072] if full else []), full)
+
+
+def sqrt_step_identity(full: bool) -> str:
+    # In each iteration, twice the leading root block times the new block
+    # must equal the input block minus the partial square's overshoot.
+    m, r = 8, 5
+    worst = 0.0
+    for seed in (99, 7):
+        fs = decompose(random_series(seed, r * m), m, r)
+        g0 = oracle.sqrt_recurrence(fs.blocks[0], m)
+        g = sqrt_block_iter(fs, g0, oracle.recip_recurrence(g0, m), r, TransformLedger())
+        for k in range(1, r):
+            prefix = g[: k * m]
+            excess = block_of(oracle.mul_schoolbook(prefix, prefix), k, m)
+            lhs = 2.0 * oracle.mul_schoolbook(g0, g[k * m : (k + 1) * m])[:m]
+            worst = max(worst, _max_abs(lhs - (fs.blocks[k] - excess)))
+    return _require(worst <= 1e-10, f"max identity error {worst:.3e}")
+
+
+def spent(before, after) -> tuple[int, int]:
+    """(forward, inverse) transforms between two ledger snapshots."""
+    return tuple(sum((b - a).values()) for a, b in zip(before, after))
+
+
+SpiedCall = namedtuple("SpiedCall", "name args before after")  # ledger snapshots
+
+
+def spied(module: str, names, led: TransformLedger, run):
+    """Call run(module) with the module's functions ``names`` rebound to spies.
+
+    Returns run's result and a SpiedCall per spied call, in call order.
+    """
+    mod = import_module(module)  # blockseries.sqrt and .recip are also functions
+    calls = []
+
+    def spy(name):
+        fn = getattr(mod, name)
+
+        def call(*args):
+            before = led.snapshot()
+            out = fn(*args)
+            calls.append(SpiedCall(name, args, before, led.snapshot()))
+            return out
+
+        return mock.patch.object(mod, name, wraps=call)
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(spy(name))
+        return run(mod), calls
+
+
+def recip_structure(full: bool) -> str:
+    """Phase economy, correction blocks and division identity of the reciprocal.
+
+    The kernel calls come in phase order: s - 1 division blocks, s low-defect
+    blocks, s fused blocks (the only combined_block calls), 2s update blocks.
+    """
+    cases = [(random_series(seed, 3 * s * m), m, s, 1e-10)
+             for seed, m, s in ((123, 4, 3), (9, 4, 3), (11, 4, 3), (13, 4, 4))]
+    cases.append(([1], 2, 1, 1e-12))  # unit input: every correction block is zero
+    worst_corr = worst_div = 0.0
+    for f, m, s, tol in cases:
+        fs = decompose(f, m, 3 * s)
+        g0 = oracle.recip_recurrence(fs.blocks[0], m)
+        led = TransformLedger()
+        g, calls = spied("blockseries.recip", ["product_block", "combined_block"], led,
+                          lambda mod: mod.recip_block_iter(fs, g0, s, led))
+        kinds = [call.name for call in calls]
+        _require(kinds == ["product_block"] * (2 * s - 1) + ["combined_block"] * s
+                 + ["product_block"] * (2 * s), f"s={s}: kernel calls out of phase order")
+        low_end, fused_end = calls[2 * s - 1].before, calls[3 * s - 1].before
+        fused, update = spent(low_end, fused_end), spent(fused_end, led.snapshot())
+        _require(fused == (s, s), f"s={s}: fused pass used {fused}, want {s}F {s}I")
+        _require(update == (0, 2 * s), f"s={s}: update used {update}, want 0F {2 * s}I")
+
+        # The update multiplies by the correction -defect + defect^2 * X^s,
+        # where f * inv_low = 1 + defect * X^s.
+        got = calls[-1].args[0].series.recompose()
+        inv_low = g[: s * m]
+        defect = oracle.mul_schoolbook(np.concatenate(fs.blocks), inv_low)[s * m : 3 * s * m]
+        want = -defect[: 2 * s * m]
+        want[s * m :] += oracle.mul_schoolbook(defect[: s * m], defect[: s * m])[: s * m]
+        err = _max_abs(got - want)
+        _require(err <= tol, f"s={s}: correction error {err:.3e} > {tol:g}")
+        worst_corr = max(worst_corr, err)
+
+        # Division loop: f0 * g_k cancels the partial product's overshoot.
+        for k in range(1, s):
+            partial = oracle.mul_schoolbook(np.concatenate(fs.blocks[: k + 1]), inv_low[: k * m])
+            lhs = oracle.mul_schoolbook(fs.blocks[0], g[k * m : (k + 1) * m])[:m]
+            worst_div = max(worst_div, _max_abs(lhs + block_of(partial, k, m)))
+    return _require(worst_div <= 1e-10, f"correction error {worst_corr:.3e}, "
+                                        f"division identity error {worst_div:.3e}")
+
+
+def third_order_identity(full: bool) -> str:
+    r1 = third_order_residual([1, 1], [1, -1], 2)
+    _require(r1 <= 1e-12, f"geometric pair residual {r1:.3e}")
+    r0 = third_order_residual([1], [1], 1)
+    _require(r0 == 0.0, f"trivial pair residual {r0:.3e}")
+    f = random_series(7, 24)
+    r2 = third_order_residual(oracle.recip_recurrence(f, 8), f, 8)
+    _require(r2 <= 1e-10, f"oracle inverse residual {r2:.3e}")
+    try:
+        third_order_residual([1, 1], [1, 1], 2)
+    except ValueError as exc:
+        _require("not 1" in str(exc), f"wrong inverse rejected with {exc}")
+    else:
+        raise AssertionError("a wrong inverse was not rejected")
+    return f"max residual {max(r1, r2):.3e}"
+
+
+def sqrt_remainder(full: bool) -> str:
+    """Degree-128 monic splits: shape, residual, and the +1F +rI extra cost."""
+    plan = rem_params(64)
+    r, m = plan.blocks, plan.block_size
+    worst = 0.0
+    for seed in range(10 if full else 5):
+        f = random_monic(seed, 128)
+        led = TransformLedger()
+        (g, rem), calls = spied("blockseries.sqrt", ["_sqrt_blocks"], led,
+                                 lambda mod: mod.sqrt_rem(f, led))
+        extra = spent(calls[0].after, led.snapshot())  # beyond the plain iteration
+        _require(extra == (1, r), f"seed={seed}: extra cost {extra}, want 1F {r}I")
+        expect_counts(led, 2 * m, OPS["sqrtrem"].counts(r), f"seed={seed}")
+        _require(led.total() == 5 * r - 2, f"seed={seed}: {led.total()} transforms, want 5r-2")
+        _require(len(g) == 65 and len(rem) == 64, f"seed={seed}: lengths {len(g)}, {len(rem)}")
+        _require(abs(g[-1] - 1.0) <= 1e-12, f"seed={seed}: root not monic")
+        worst = max(worst, OPS["sqrtrem"].error(f, 64, (g, rem)))
+    return _require(worst <= 1e-7, f"max residual {worst:.3e} (tol 1e-7)")
+
+
+def baselines_check(full: bool) -> str:
+    n = 512 if full else 256
+    f = OPS["recip_schonhage"].make_input(11, n)
+    e1 = OPS["recip_schonhage"].error(f, n, baselines.recip_schonhage(f, n, TransformLedger()))
+    g, ginv = baselines.sqrt_newton_coupled(f, n, TransformLedger())
+    e2 = OPS["sqrt_newton_coupled"].error(f, n, (g, ginv))
+    e3 = _max_abs(_recip_residual(g, ginv, n))
+    worst = max(e1, e2, e3)
+    return _require(worst <= 1e-8 * n, f"max baseline error {worst:.3e}")
+
+
+def cost_crossover(full: bool) -> str:
+    """Blockwise reciprocal (base case included) beats doubling in weighted
+    cost; both ops' cost ratios are within 5% of the paper's count ratios."""
+    m = 256
+    rows = []
+    for k in range(4, 9) if full else [4, 6]:
+        rec = run_case("recip", 3 * k * m, blocks=k, seed=1)
+        sch = run_case("recip_schonhage", 3 * k * m, seed=1)
+        total = rec.weighted_cost + rec.base_cost
+        _require(total < sch.weighted_cost,
+                 f"s={k}: blockwise {total:.0f} >= doubling {sch.weighted_cost:.0f}")
+        for case in (rec, run_case("sqrt", k * m, blocks=k, seed=1)):
+            ratio, expected = case.cost_ratio, case.cost_ratio_expected
+            _require(abs(ratio - expected) <= 0.05 * expected,
+                     f"{case.op} k={k}: cost ratio {ratio:.4f}, expected {expected:.4f}")
+        rows.append(f"s={k}: {total:.0f} < {sch.weighted_cost:.0f}")
+    return "; ".join(rows)
+
+
+def determinism(full: bool) -> str:
+    for op, seed, n in (("sqrt", 5, 300), ("sqrt", 5, 200), ("recip", 5, 300), ("recip", 6, 300)):
+        f = random_series(seed, n)
+        run = OPS[op].fn
+        _require(np.array_equal(run(f, n, TransformLedger()), run(f, n, TransformLedger())),
+                 f"{op} n={n}: outputs differ between runs")
+    return "bit-identical repeated runs"
+
+
+CHECKS = [
+    ("transform-roundtrip", transform_roundtrip),
+    ("transform-identities", transform_identities),
+    ("cyclic-convolution", cyclic_convolution_check),
+    ("middle-product", middle_product_check),
+    ("ledger-exactness", ledger_exactness),
+    ("block-products", block_products),
+    ("sqrt-counts", sqrt_counts),
+    ("recip-counts", recip_counts),
+    ("sqrt-correctness", sqrt_correctness),
+    ("recip-correctness", recip_correctness),
+    ("sqrt-step-identity", sqrt_step_identity),
+    ("recip-structure", recip_structure),
+    ("third-order-identity", third_order_identity),
+    ("sqrt-remainder", sqrt_remainder),
+    ("baselines", baselines_check),
+    ("cost-crossover", cost_crossover),
+    ("determinism", determinism),
+]
+
+
+def run_check(name: str, check, full: bool) -> tuple[bool, str]:
+    """Run one check; returns whether it passed and its report line."""
+    try:
+        ok, detail = True, check(full)
+    except AssertionError as exc:
+        ok, detail = False, str(exc)
+    except Exception as exc:  # a crashed check is a failed check
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return ok, f"{'PASS' if ok else 'FAIL'}  {name:<22s} {detail}"
+
+
+def run_selftest(full: bool, echo=print) -> bool:
+    """Run every check, print one line each, return overall success."""
+    all_ok = True
+    for name, check in CHECKS:
+        ok, line = run_check(name, check, full)
+        all_ok &= ok
+        echo(line)
+    echo(f"selftest {'passed' if all_ok else 'FAILED'} ({'full' if full else 'quick'} mode)")
+    return all_ok

@@ -8,6 +8,7 @@ per n.  Exit codes: 0 success, 1 failure, 2 usage error.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import sys
 import time
@@ -16,12 +17,9 @@ import click
 import numpy as np
 
 from . import transform
-from .bench import CSV_FIELDS, run_bench
-from .corpus import conditioned_monic, conditioned_series
-from .plan import RECIP, SQRT, choose_plan
-from .recip import recip
-from .selftest import run_selftest
-from .sqrt import sqrt, sqrt_rem
+from .bench import BLOCKWISE_OPS, CSV_FIELDS, OPS, format_counts, run_bench
+from .recip import recip  # noqa: F401  (compute calls the entry points by name)
+from .sqrt import sqrt, sqrt_rem  # noqa: F401
 from .transform import TransformLedger
 
 
@@ -81,7 +79,7 @@ def _write_coeffs(coeffs: np.ndarray, out: str | None, header: str) -> None:
 
 
 def _counts(table) -> str:
-    return " ".join(f"{k}:{table[k]}" for k in sorted(table)) or "-"
+    return format_counts(table) or "-"
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -98,7 +96,7 @@ def main():
 
 
 @main.command()
-@click.argument("op", type=click.Choice(["recip", "sqrt", "sqrtrem"]))
+@click.argument("op", type=click.Choice(BLOCKWISE_OPS))
 @click.option("--coeffs", help="Inline input: comma-separated coefficients.")
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False),
               help="Input coefficient file (one `re` or `re im` per line, # comments).")
@@ -108,7 +106,7 @@ def main():
               help="Output precision; for sqrtrem the half-degree of a --random input.")
 @click.option("--blocks", type=int, help="Override the block count (r or s).")
 @click.option("--block-size", type=int, help="Override the block size m (must be 2^a*3^b).")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for --random.")
+@click.option("--seed", type=int, help="Seed for --random.  [default: 0]")
 @click.option("--out", type=click.Path(dir_okay=False),
               help="Write the result here (sqrtrem also writes <out>.rem).")
 def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
@@ -116,27 +114,40 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
     sources = sum(x is not None and x is not False for x in (coeffs, infile, random_input))
     if sources != 1:
         raise click.UsageError("need exactly one of --coeffs, --in, --random")
+    if seed is not None and not random_input:
+        raise click.UsageError("--seed applies only to --random")
     if op == "sqrtrem" and block_size is not None:
         raise click.UsageError("--block-size does not apply to sqrtrem")
+    if op == "sqrtrem" and n is not None and not random_input:
+        raise click.UsageError("sqrtrem takes --n only with --random; "
+                               "otherwise the degree comes from the input")
+    spec = OPS[op]
     try:
         if random_input:
             if n is None:
                 raise ValueError("--random needs --n")
-            f = conditioned_monic(seed, 2 * n) if op == "sqrtrem" else conditioned_series(seed, n)
+            f = spec.make_input(seed or 0, n)
         else:
             f = _parse_inline(coeffs) if coeffs is not None else _read_coeff_file(infile)
+        if n is None and op != "sqrtrem":
+            raise ValueError(f"{op} needs --n")
 
         ledger = TransformLedger()
         base = TransformLedger()
         # Real input means a real result; drop the roundoff imaginary part.
         real_input = not f.imag.any()
+        # The entry point is looked up in this module, so rebinding cli.sqrt,
+        # cli.recip or cli.sqrt_rem reaches the call.
+        fn = globals()[spec.fn.__name__]
         t0 = time.perf_counter_ns()
+        result = spec.run(fn, f, n, ledger, blocks, block_size, base)
+        wall = time.perf_counter_ns() - t0
+        parts = result if op == "sqrtrem" else (result,)
+        if real_input:
+            parts = [p.real.astype(np.complex128) for p in parts]
         if op == "sqrtrem":
-            g, rem = sqrt_rem(f, ledger, blocks=blocks, base_ledger=base, capture=(cap := {}))
-            wall = time.perf_counter_ns() - t0
-            if real_input:
-                g, rem = g.real.astype(np.complex128), rem.real.astype(np.complex128)
-            m, nb = cap["block_size"], cap["blocks"]
+            g, rem = parts
+            n = len(g) - 1
             _write_coeffs(g, out, f"sqrtrem root of degree-{len(f) - 1} input")
             if out is None:
                 click.echo("# remainder")
@@ -145,20 +156,12 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
                 _write_coeffs(rem, f"{out}.rem", "sqrtrem remainder")
             label = f"op=sqrtrem deg={len(f) - 1}"
         else:
-            if n is None:
-                raise ValueError(f"{op} needs --n")
-            fn, scheme = (sqrt, SQRT) if op == "sqrt" else (recip, RECIP)
-            plan = choose_plan(scheme, n, blocks)
-            m = block_size if block_size is not None else plan.block_size
-            nb = plan.blocks
-            g = fn(f, n, ledger, blocks=nb, block_size=m, base_ledger=base)
-            wall = time.perf_counter_ns() - t0
-            if real_input:
-                g = g.real.astype(np.complex128)
-            _write_coeffs(g, out, f"{op} to order {n}")
+            _write_coeffs(parts[0], out, f"{op} to order {n}")
             label = f"op={op} n={n}"
+        plan = spec.plan(n, blocks)
+        m = block_size if block_size is not None else plan.block_size
         click.echo(
-            f"{label} block_size={m} blocks={nb} "
+            f"{label} block_size={m} blocks={plan.blocks} "
             f"forward[{_counts(ledger.forward)}] inverse[{_counts(ledger.inverse)}] "
             f"base_transforms={base.total()} wall_ms={wall / 1e6:.2f}",
             err=True,
@@ -169,7 +172,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
 
 
 @main.command()
-@click.argument("op", type=click.Choice(["sqrt", "recip", "sqrtrem"]))
+@click.argument("op", type=click.Choice(BLOCKWISE_OPS))
 @click.option("--n", "ns", required=True, help="Comma-separated list of precisions.")
 @click.option("--blocks", "blocks_list", help="Comma-separated block counts (default: auto).")
 @click.option("--block-size", type=int, help="Fix the block size m for every run.")
@@ -210,11 +213,10 @@ def bench(op, ns, blocks_list, block_size, seed, fmt, no_baselines):
 @click.option("--inject-fault", is_flag=True, hidden=True,
               help="Corrupt one FFT twiddle factor (detector sanity hook).")
 def selftest(quick, inject_fault):
-    """Run the invariant suites; exit 0 only if everything passes."""
-    if inject_fault:
-        with transform.twiddle_fault():
-            ok = run_selftest(full=not quick, echo=click.echo)
-    else:
+    """Run the invariant checks; exit 0 only if everything passes."""
+    from .checks import run_selftest  # imported here to keep compute's start-up lean
+
+    with transform.twiddle_fault() if inject_fault else contextlib.nullcontext():
         ok = run_selftest(full=not quick, echo=click.echo)
     sys.exit(0 if ok else 1)
 

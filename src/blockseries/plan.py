@@ -66,7 +66,7 @@ class Scheme:
 
     unit: int  # blocks per unit of the block parameter
     max_blocks: int
-    main_transforms: Callable[[int], int]
+    transforms: Callable[[int], tuple[int, int]]  # (forward, inverse) of length 2m
     accumulate_passes: Callable[[int], int]
     base_span: tuple[int, int]
     base_step_transforms: int
@@ -75,7 +75,7 @@ class Scheme:
 SQRT = Scheme(
     unit=1,
     max_blocks=32,
-    main_transforms=lambda r: 4 * r - 3,
+    transforms=lambda r: (2 * r - 1, 2 * r - 2),
     accumulate_passes=lambda r: r * (r - 1) // 2,
     base_span=baselines.SQRT_SPAN,
     base_step_transforms=baselines.SQRT_STEP_TRANSFORMS,
@@ -83,7 +83,7 @@ SQRT = Scheme(
 RECIP = Scheme(
     unit=3,
     max_blocks=16,
-    main_transforms=lambda s: 13 * s - 3,
+    transforms=lambda s: (7 * s - 1, 6 * s - 2),
     accumulate_passes=lambda s: s * (9 * s + 1) // 2,
     base_span=baselines.RECIP_SPAN,
     base_step_transforms=baselines.RECIP_STEP_TRANSFORMS,
@@ -117,7 +117,7 @@ def block_size(scheme: Scheme, n: int, blocks: int) -> int:
 def predicted_ns(scheme: Scheme, n: int, blocks: int) -> float:
     """Predicted time of the iteration with this block count, base case included."""
     m = block_size(scheme, n, blocks)
-    main = scheme.main_transforms(blocks) * (transform_ns(2 * m) + GLUE_NS)
+    main = sum(scheme.transforms(blocks)) * (transform_ns(2 * m) + GLUE_NS)
     accumulate = scheme.accumulate_passes(blocks) * (ACCUMULATE_NS + ACCUMULATE_POINT_NS * 2 * m)
     return main + base_case_ns(scheme, m) + accumulate
 

@@ -23,7 +23,6 @@ from .blockwise import (
     product_block,
     shifted,
 )
-from .oracle import mul_schoolbook
 from .plan import RECIP, BlockPlan, choose_plan
 from .transform import (
     TransformLedger,
@@ -45,16 +44,11 @@ def recip_block_iter(
     g0,
     s: int,
     ledger: TransformLedger,
-    *,
-    on_phase=None,
-    capture: dict | None = None,
 ) -> np.ndarray:
     """Inverse of f to 3s*m coefficients from a length-m base case g0.
 
     The input's constant term must be 1 and f must supply at least 3s blocks.
-    Adds exactly 13s - 3 length-2m transforms to the ledger.  ``on_phase``,
-    if given, is called with a phase name after each phase completes;
-    ``capture`` collects the correction blocks for structural tests.
+    Adds exactly 13s - 3 length-2m transforms to the ledger.
     """
     m = f.block_size
     if s < 1:
@@ -72,8 +66,6 @@ def recip_block_iter(
     f_cache = TransformCache(f)
     for i in range(3 * s):
         f_cache.ensure(i, ledger)
-    if on_phase:
-        on_phase("setup")
 
     # Phase 1: division loop; each new block cancels the residual of the
     # partial product f * inv against 1.
@@ -83,8 +75,6 @@ def recip_block_iter(
         upd = inverse(pointwise_mul(g0_spec, resid_spec), ledger)
         inv_low.append(-upd[:m])
         inv_cache.ensure(k, ledger)
-    if on_phase:
-        on_phase("division")
 
     # Phase 2: negated low defect blocks of f * inv.
     corr = BlockSeries(m)
@@ -93,8 +83,6 @@ def recip_block_iter(
         blk = product_block(f_cache, inv_cache, k + s, ledger)
         corr.append(-blk)
         corr_cache.ensure(k, ledger)
-    if on_phase:
-        on_phase("low-defect")
 
     # Phase 3: fused pass.  Block k (s <= k < 2s) of the correction is
     # (corr_low^2) at k-s minus (f * inv) at k+s, combined in the spectral
@@ -107,19 +95,12 @@ def recip_block_iter(
         )
         corr.append(blk)
         corr_cache.ensure(k, ledger)
-    if on_phase:
-        on_phase("fused-square")
 
     # Phase 4: third-order update; upper output blocks are the product of the
     # correction with the partial inverse, no new forward transforms.
     out = list(inv_low.blocks)
     for k in range(s, 3 * s):
         out.append(product_block(corr_cache, inv_cache, k - s, ledger))
-    if on_phase:
-        on_phase("update")
-
-    if capture is not None:
-        capture["correction_blocks"] = [b.copy() for b in corr.blocks]
     return np.concatenate(out)
 
 
@@ -151,35 +132,3 @@ def recip(
     g0 = baselines.recip_schonhage(fs.blocks[0], m, base)
     out = recip_block_iter(fs, g0, s, ledger)
     return out[:n]
-
-
-def third_order_step_identity_check(g, f, n: int) -> float:
-    """Residual of the schoolbook third-order update (test support, no FFT).
-
-    Requires f*g = 1 to order n; forms g' = g*(1 - d*x^n + d^2*x^{2n}) with d
-    read off from f*g and returns max |f*g' - 1| over coefficients below 3n.
-    """
-    f = as_series(f)
-    g = as_series(g)
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    prod = np.zeros(3 * n, dtype=np.complex128)
-    full = mul_schoolbook(f, g)
-    prod[: min(len(full), 3 * n)] = full[: 3 * n]
-    head = prod[:n].copy()
-    head[0] -= 1.0
-    if np.abs(head).max() > 1e-6:
-        raise ValueError("f*g is not 1 to order n")
-    defect = prod[n:]
-    corr = np.zeros(3 * n, dtype=np.complex128)
-    corr[0] = 1.0
-    corr[n:] -= defect
-    corr[2 * n :] += mul_schoolbook(defect, defect)[:n]
-    gp = np.zeros(3 * n, dtype=np.complex128)
-    full = mul_schoolbook(g, corr)
-    gp[: min(len(full), 3 * n)] = full[: 3 * n]
-    resid = np.zeros(3 * n, dtype=np.complex128)
-    full = mul_schoolbook(f, gp)
-    resid[: min(len(full), 3 * n)] = full[: 3 * n]
-    resid[0] -= 1.0
-    return float(np.abs(resid).max())

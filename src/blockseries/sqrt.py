@@ -12,6 +12,8 @@ the base case.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import baselines
@@ -30,6 +32,13 @@ from .transform import (
 def choose_params(n: int, blocks_override: int | None = None) -> BlockPlan:
     """Block count r and supported block size m, r * m >= n (see plan.py)."""
     return choose_plan(SQRT, n, blocks_override)
+
+
+def rem_params(n: int, blocks_override: int | None = None) -> BlockPlan:
+    """Plan of sqrt_rem at half-degree n: the square-root plan for n + 1
+    coefficients, its block count shrunk so only the last block carries padding."""
+    plan = choose_params(n + 1, blocks_override)
+    return replace(plan, blocks=min(plan.blocks, -(-(n + 1) // plan.block_size)))
 
 
 def _sqrt_blocks(
@@ -120,7 +129,6 @@ def sqrt_rem(
     *,
     blocks: int | None = None,
     base_ledger: TransformLedger | None = None,
-    capture: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a monic polynomial of degree 2n as f = g^2 + rem, deg g = n.
 
@@ -135,24 +143,20 @@ def sqrt_rem(
     f = as_series(f)
     if len(f) < 3 or len(f) % 2 == 0:
         raise ValueError("input must have even degree >= 2")
-    if abs(f[-1] - 1.0) > 1e-9:
-        raise ValueError("input must be monic")
+    if f[-1] != 1.0:
+        raise ValueError(f"input must be monic, got leading coefficient {complex(f[-1])}")
     half_deg = (len(f) - 1) // 2
     ncoeff = half_deg + 1
     rev = f[::-1].copy()
 
-    plan = choose_params(ncoeff, blocks)
-    m = plan.block_size
-    # Shrink the block count so only the last block carries padding.
-    r = min(plan.blocks, -(-ncoeff // m))
+    plan = rem_params(half_deg, blocks)
+    m, r = plan.block_size, plan.blocks
     padded = np.zeros(r * m, dtype=np.complex128)
     padded[: min(len(rev), r * m)] = rev[: r * m]
     fs = decompose(padded, m, r)
     base = base_ledger if base_ledger is not None else TransformLedger()
     g0, g0_inv = baselines.sqrt_newton_coupled(fs.blocks[0], m, base)
     root, cache = _sqrt_blocks(fs, g0, g0_inv, r, ledger)
-    if capture is not None:
-        capture["iter_counts"] = ledger.snapshot()
 
     # Truncate the series root to the polynomial part (degree n in reverse),
     # keeping the discarded tail for the remainder completion below.
@@ -183,7 +187,4 @@ def sqrt_rem(
 
     g = flat[:ncoeff][::-1].copy()
     rem = diff[ncoeff:][::-1].copy()
-    if capture is not None:
-        capture["blocks"] = r
-        capture["block_size"] = m
     return g, rem

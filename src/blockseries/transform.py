@@ -184,9 +184,11 @@ def as_series(f) -> Poly:
 
 
 def require_unit_constant(f: Poly) -> None:
-    """Reject series whose constant term is not 1."""
-    if len(f) == 0 or abs(f[0] - 1.0) > 1e-9:
-        raise ValueError("series must have constant term 1")
+    """Reject series whose constant term is not exactly 1."""
+    if len(f) == 0:
+        raise ValueError("series must have constant term 1, got an empty series")
+    if f[0] != 1.0:
+        raise ValueError(f"series must have constant term 1, got {complex(f[0])}")
 
 
 def forward(p, n: int, ledger: TransformLedger) -> Spectrum:

@@ -30,8 +30,9 @@ class TestRecipSchonhage:
         assert sum(led.inverse.values()) == 6
 
     def test_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            recip_schonhage([2], 4, TransformLedger())
+        for f in ([2], [1 + 1e-12, 1]):
+            with pytest.raises(ValueError, match="constant term 1, got"):
+                recip_schonhage(f, 4, TransformLedger())
 
 
 class TestSqrtNewtonCoupled:
@@ -55,8 +56,9 @@ class TestSqrtNewtonCoupled:
         assert np.abs(unit).max() <= 1e-8 * n
 
     def test_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            sqrt_newton_coupled([0, 1], 4, TransformLedger())
+        for f in ([0, 1], [1 + 1e-12, 1]):
+            with pytest.raises(ValueError, match="constant term 1, got"):
+                sqrt_newton_coupled(f, 4, TransformLedger())
 
 
 class TestCrossover:

@@ -16,23 +16,12 @@ from blockseries import (
     shifted,
 )
 from blockseries import oracle
-
-
-def warm(f, g, m, nb, led):
-    fc = TransformCache(decompose(f, m, nb))
-    gc = TransformCache(decompose(g, m, nb))
-    for i in range(nb):
-        fc.ensure(i, led)
-        gc.ensure(i, led)
-    return fc, gc
+from blockseries.checks import block_of
+from blockseries.checks import warm_caches as warm
 
 
 def schoolbook_block(f, g, k, m):
-    full = oracle.mul_schoolbook(f, g)
-    out = np.zeros(m, dtype=np.complex128)
-    seg = full[k * m : (k + 1) * m]
-    out[: len(seg)] = seg
-    return out
+    return block_of(oracle.mul_schoolbook(f, g), k, m)
 
 
 class TestDecompose:

@@ -87,6 +87,11 @@ class TestCompute:
         result = runner.invoke(main, ["compute", "recip", "--coeffs", "2,1", "--n", "4"])
         assert result.exit_code == 1
         assert "error:" in result.stderr
+        result = runner.invoke(
+            main, ["compute", "sqrt", "--coeffs", "1.000000000001,1", "--n", "3"]
+        )
+        assert result.exit_code == 1
+        assert "constant term 1, got (1.000000000001+0j)" in result.stderr
 
     def test_missing_n_exit_one(self, runner):
         result = runner.invoke(main, ["compute", "sqrt", "--coeffs", "1,1"])
@@ -101,6 +106,12 @@ class TestCompute:
             main, ["compute", "recip", "--coeffs", "1", "--random", "--n", "4"]
         )
         assert result.exit_code == 2
+        # --seed only selects a --random input; with --coeffs it would be ignored.
+        result = runner.invoke(
+            main, ["compute", "recip", "--coeffs", "1,1", "--n", "4", "--seed", "3"]
+        )
+        assert result.exit_code == 2
+        assert "--seed" in result.output
 
     def test_sqrtrem_block_size_usage_error(self, runner):
         result = runner.invoke(
@@ -108,6 +119,10 @@ class TestCompute:
         )
         assert result.exit_code == 2
         assert "--block-size" in result.output
+        # The degree of a given input fixes sqrtrem's size; --n would be ignored.
+        result = runner.invoke(main, ["compute", "sqrtrem", "--coeffs", "1,2,1", "--n", "8"])
+        assert result.exit_code == 2
+        assert "--n" in result.output
 
     def test_random_sqrtrem_at_2_15(self, runner, tmp_path):
         # Unconditioned random inputs overflow to non-finite roots at this size.

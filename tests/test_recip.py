@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from blockseries import (
-    TransformLedger,
-    decompose,
-    recip,
-    recip_block_iter,
-    third_order_step_identity_check,
-)
+from blockseries import TransformLedger, decompose, recip, recip_block_iter
 from blockseries import oracle
+from blockseries.checks import spent, spied, third_order_residual
 from blockseries.corpus import conditioned_series, random_series
 from blockseries.plan import RECIP, predicted_ns
 from blockseries.recip import choose_params
@@ -38,13 +33,14 @@ class TestChooseParams:
 class TestBlockIteration:
     def test_unit_input(self):
         f = decompose([1], 2, 3)
-        cap = {}
-        got = recip_block_iter(f, [1, 0], 1, TransformLedger(), capture=cap)
+        led = TransformLedger()
+        got, calls = spied("blockseries.recip", ["product_block"], led,
+                           lambda mod: mod.recip_block_iter(f, [1, 0], 1, led))
         want = np.zeros(6)
         want[0] = 1.0
         np.testing.assert_allclose(got, want, atol=1e-12)
-        for blk in cap["correction_blocks"]:
-            assert np.abs(blk).max() <= 1e-12
+        # Every correction block, the update's last multiplier, is zero.
+        assert np.abs(calls[-1].args[0].series.recompose()).max() <= 1e-12
 
     def test_geometric(self):
         f = decompose([1, -1, 0], 1, 3)
@@ -73,42 +69,36 @@ class TestBlockIteration:
 
     def test_fused_pass_economy(self):
         # The fused phase spends exactly s inverse transforms, one per block,
-        # even though each block combines two products.
+        # even though each block combines two products.  Its kernel calls are
+        # the only combined_block calls, after 2s - 1 product_block calls.
         m, s = 4, 3
-        f = random_series(9, 3 * s * m)
-        fs = decompose(f, m, 3 * s)
+        fs = decompose(random_series(9, 3 * s * m), m, 3 * s)
         g0 = oracle.recip_recurrence(fs.blocks[0], m)
         led = TransformLedger()
-        marks = {}
-
-        def on_phase(name):
-            marks[name] = led.snapshot()
-
-        recip_block_iter(fs, g0, s, led, on_phase=on_phase)
-        fwd_before, inv_before = marks["low-defect"]
-        fwd_after, inv_after = marks["fused-square"]
-        assert sum((fwd_after - fwd_before).values()) == s
-        assert sum((inv_after - inv_before).values()) == s
+        _, calls = spied("blockseries.recip", ["product_block", "combined_block"], led,
+                         lambda mod: mod.recip_block_iter(fs, g0, s, led))
+        assert [c.name for c in calls[2 * s - 1 : 3 * s - 1]] == ["combined_block"] * s
+        fused_end = calls[3 * s - 1].before
+        assert spent(calls[2 * s - 1].before, fused_end) == (s, s)
         # The closing update phase adds no forward transforms at all.
-        fwd_end, inv_end = marks["update"]
-        assert fwd_end == fwd_after
-        assert sum((inv_end - inv_after).values()) == 2 * s
+        assert spent(fused_end, led.snapshot()) == (0, 2 * s)
 
     def test_correction_structure(self):
         # Assembled correction blocks equal -defect + defect^2 * X^s where
-        # f * inv_low = 1 + defect * X^s, all recomputed by schoolbook.
+        # f * inv_low = 1 + defect * X^s, all recomputed by schoolbook.  The
+        # last product of the update phase multiplies by the correction.
         m, s = 4, 3
-        f = random_series(11, 3 * s * m)
-        fs = decompose(f, m, 3 * s)
+        fs = decompose(random_series(11, 3 * s * m), m, 3 * s)
         g0 = oracle.recip_recurrence(fs.blocks[0], m)
-        cap = {}
-        g = recip_block_iter(fs, g0, s, TransformLedger(), capture=cap)
+        led = TransformLedger()
+        g, calls = spied("blockseries.recip", ["product_block"], led,
+                         lambda mod: mod.recip_block_iter(fs, g0, s, led))
         inv_low = g[: s * m]
         prod = oracle.mul_schoolbook(np.concatenate(fs.blocks), inv_low)[: 3 * s * m]
         defect = prod[s * m :]
         want = -defect[: 2 * s * m].copy()
         want[s * m :] += oracle.mul_schoolbook(defect[: s * m], defect[: s * m])[: s * m]
-        got = np.concatenate(cap["correction_blocks"])
+        got = calls[-1].args[0].series.recompose()
         assert np.abs(got - want).max() <= 1e-10
 
     def test_division_loop_identity(self):
@@ -173,8 +163,9 @@ class TestRecip:
         assert np.array_equal(a, b)
 
     def test_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            recip([0.5], 4, TransformLedger())
+        for f in ([0.5], [1 + 1e-12, 1]):
+            with pytest.raises(ValueError, match="constant term 1, got"):
+                recip(f, 4, TransformLedger())
 
     def test_bad_precision(self):
         with pytest.raises(ValueError):
@@ -183,16 +174,16 @@ class TestRecip:
 
 class TestThirdOrderIdentity:
     def test_geometric_pair(self):
-        assert third_order_step_identity_check([1, 1], [1, -1], 2) <= 1e-12
+        assert third_order_residual([1, 1], [1, -1], 2) <= 1e-12
 
     def test_trivial_pair(self):
-        assert third_order_step_identity_check([1], [1], 1) == 0.0
+        assert third_order_residual([1], [1], 1) == 0.0
 
     def test_oracle_inverse(self):
         f = random_series(7, 24)
         g = oracle.recip_recurrence(f, 8)
-        assert third_order_step_identity_check(g, f, 8) <= 1e-10
+        assert third_order_residual(g, f, 8) <= 1e-10
 
     def test_detects_bad_inverse(self):
         with pytest.raises(ValueError, match="not 1"):
-            third_order_step_identity_check([1, 1], [1, 1], 2)
+            third_order_residual([1, 1], [1, 1], 2)

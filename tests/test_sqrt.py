@@ -12,8 +12,10 @@ from blockseries import (
     sqrt_rem,
 )
 from blockseries import oracle
+from blockseries.checks import spent, spied
 from blockseries.corpus import conditioned_series, random_monic, random_series
 from blockseries.plan import SQRT, predicted_ns
+from blockseries.sqrt import rem_params
 
 
 def oracle_base(f_block, m):
@@ -94,23 +96,6 @@ class TestBlockIteration:
         want = oracle.sqrt_recurrence(f, m * blocks)
         assert np.abs(got - want).max() <= 1e-10
 
-    def test_iteration_identity(self):
-        # Each new block solves 2*g0*g_k = f_k - (partial square overshoot).
-        m, blocks = 8, 5
-        f = random_series(7, m * blocks)
-        fs = decompose(f, m, blocks)
-        g0, g0_inv = oracle_base(fs.blocks[0], m)
-        g = sqrt_block_iter(fs, g0, g0_inv, blocks, TransformLedger())
-        for k in range(1, blocks):
-            prefix = g[: k * m]
-            sq = oracle.mul_schoolbook(prefix, prefix)
-            excess = np.zeros(m, dtype=np.complex128)
-            seg = sq[k * m : (k + 1) * m]
-            excess[: len(seg)] = seg
-            lhs = 2.0 * oracle.mul_schoolbook(g0, g[k * m : (k + 1) * m])[:m]
-            rhs = fs.blocks[k] - excess
-            assert np.abs(lhs - rhs).max() <= 1e-10
-
     def test_validation(self):
         f = decompose([1, 0, 0, 0], 2, 2)
         with pytest.raises(ValueError):
@@ -160,8 +145,9 @@ class TestSqrt:
         assert np.array_equal(a, b)
 
     def test_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            sqrt([2, 1], 4, TransformLedger())
+        for f in ([2, 1], [1 + 1e-12, 1]):
+            with pytest.raises(ValueError, match="constant term 1, got"):
+                sqrt(f, 4, TransformLedger())
 
     def test_bad_precision(self):
         with pytest.raises(ValueError):
@@ -192,20 +178,19 @@ class TestSqrtRem:
     def test_extra_cost_split(self):
         # Beyond the plain square-root iteration: one forward transform and
         # one inverse per block, for a 5r - 2 total.
+        r = rem_params(64).blocks
         for seed in range(3):
             f = random_monic(seed, 128)
             led = TransformLedger()
-            cap = {}
-            sqrt_rem(f, led, capture=cap)
-            r = cap["blocks"]
-            it_fwd, it_inv = cap["iter_counts"]
-            assert sum((led.forward - it_fwd).values()) == 1
-            assert sum((led.inverse - it_inv).values()) == r
+            _, calls = spied("blockseries.sqrt", ["_sqrt_blocks"], led,
+                             lambda mod: mod.sqrt_rem(f, led))
+            assert spent(calls[0].after, led.snapshot()) == (1, r)
             assert led.total() == 5 * r - 2
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="monic"):
-            sqrt_rem(np.array([1.0, 0.0, 2.0]), TransformLedger())
+        for lead in (2.0, 1 + 1e-12):
+            with pytest.raises(ValueError, match="monic"):
+                sqrt_rem(np.array([1.0, 0.0, lead]), TransformLedger())
         with pytest.raises(ValueError, match="degree"):
             sqrt_rem(np.array([1.0, 0.0, 0.0, 1.0]), TransformLedger())
         with pytest.raises(ValueError, match="degree"):
