@@ -31,17 +31,15 @@ from .transform import TransformLedger
 ORACLE_CUTOFF = 2048
 
 
-def _blockwise(fn, f, n, ledger, blocks, block_size, base):
-    return fn(f, n, ledger, blocks=blocks, block_size=block_size, base_ledger=base)
+def _blockwise(fn, f, n, ledger, blocks, base):
+    return fn(f, n, ledger, blocks=blocks, base_ledger=base)
 
 
-def _with_remainder(fn, f, n, ledger, blocks, block_size, base):
-    if block_size is not None:
-        raise ValueError("block size does not apply to sqrtrem")
+def _with_remainder(fn, f, n, ledger, blocks, base):
     return fn(f, ledger, blocks=blocks, base_ledger=base)
 
 
-def _doubling(fn, f, n, ledger, blocks, block_size, base):
+def _doubling(fn, f, n, ledger, blocks, base):
     return fn(f, n, ledger)
 
 
@@ -69,7 +67,7 @@ class Op:
     """An operation: how to call it and the oracle and counts it must meet."""
 
     fn: Callable  # public entry point
-    run: Callable  # (fn, f, n, ledger, blocks, block_size, base_ledger) -> output
+    run: Callable  # (fn, f, n, ledger, blocks, base_ledger) -> output
     make_input: Callable[[int, int], np.ndarray]  # (seed, n) -> seeded input
     error: Callable  # (f, n, output) -> largest deviation from the O(n^2) oracle
     plan: Callable[[int, int | None], BlockPlan] | None = None  # None: doubling baseline
@@ -147,7 +145,6 @@ def run_case(
     op: str,
     n: int,
     blocks: int | None = None,
-    block_size: int | None = None,
     seed: int = 0,
 ) -> BenchRecord:
     """Run one operation and collect its counts, costs, and timing."""
@@ -158,13 +155,13 @@ def run_case(
     base = TransformLedger()
     f = spec.make_input(seed, n)
     t0 = time.perf_counter_ns()
-    out = spec.run(spec.fn, f, n, ledger, blocks, block_size, base)
+    out = spec.run(spec.fn, f, n, ledger, blocks, base)
     wall = time.perf_counter_ns() - t0
 
     k = m = ratio = expected = None
     if spec.plan is not None:
         plan = spec.plan(n, blocks)
-        k, m = plan.blocks, block_size if block_size is not None else plan.block_size
+        k, m = plan.blocks, plan.block_size
     weighted = ledger.weighted_cost()
     if spec.unit is not None:
         ratio = weighted / (3 * spec.unit * k * _transform_cost(2 * m))
@@ -191,7 +188,6 @@ def run_bench(
     op: str,
     ns: list[int],
     blocks_list: list[int | None],
-    block_size: int | None = None,
     seed: int = 0,
     include_baselines: bool = True,
 ) -> list[BenchRecord]:
@@ -199,7 +195,7 @@ def run_bench(
     records = []
     for n in ns:
         for blocks in blocks_list:
-            records.append(run_case(op, n, blocks=blocks, block_size=block_size, seed=seed))
+            records.append(run_case(op, n, blocks=blocks, seed=seed))
         if include_baselines and OPS[op].baseline:
             records.append(run_case(OPS[op].baseline, n, seed=seed))
     return records

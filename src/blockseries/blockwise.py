@@ -63,7 +63,7 @@ def decompose(f, block_size: int, num_blocks: int) -> BlockSeries:
     """Split f into num_blocks blocks of block_size coefficients.
 
     Zero-pads short input; coefficients beyond num_blocks * block_size are
-    dropped (callers control padding).
+    dropped.  This is where the blockwise entry points pad their input.
     """
     f = np.asarray(f, dtype=np.complex128)
     series = BlockSeries(block_size)

@@ -104,20 +104,18 @@ def main():
               help="Use a seeded random l1-conditioned input instead of a file (needs --n).")
 @click.option("--n", "n", type=int,
               help="Output precision; for sqrtrem the half-degree of a --random input.")
-@click.option("--blocks", type=int, help="Override the block count (r or s).")
-@click.option("--block-size", type=int, help="Override the block size m (must be 2^a*3^b).")
+@click.option("--blocks", type=int,
+              help="Fix the block count (r or s); the block size follows from it.")
 @click.option("--seed", type=int, help="Seed for --random.  [default: 0]")
 @click.option("--out", type=click.Path(dir_okay=False),
               help="Write the result here (sqrtrem also writes <out>.rem).")
-def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
+def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
     """Compute a reciprocal, square root, or square root with remainder."""
     sources = sum(x is not None and x is not False for x in (coeffs, infile, random_input))
     if sources != 1:
         raise click.UsageError("need exactly one of --coeffs, --in, --random")
     if seed is not None and not random_input:
         raise click.UsageError("--seed applies only to --random")
-    if op == "sqrtrem" and block_size is not None:
-        raise click.UsageError("--block-size does not apply to sqrtrem")
     if op == "sqrtrem" and n is not None and not random_input:
         raise click.UsageError("sqrtrem takes --n only with --random; "
                                "otherwise the degree comes from the input")
@@ -140,7 +138,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
         # cli.recip or cli.sqrt_rem reaches the call.
         fn = globals()[spec.fn.__name__]
         t0 = time.perf_counter_ns()
-        result = spec.run(fn, f, n, ledger, blocks, block_size, base)
+        result = spec.run(fn, f, n, ledger, blocks, base)
         wall = time.perf_counter_ns() - t0
         parts = result if op == "sqrtrem" else (result,)
         if real_input:
@@ -159,9 +157,8 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
             _write_coeffs(parts[0], out, f"{op} to order {n}")
             label = f"op={op} n={n}"
         plan = spec.plan(n, blocks)
-        m = block_size if block_size is not None else plan.block_size
         click.echo(
-            f"{label} block_size={m} blocks={plan.blocks} "
+            f"{label} block_size={plan.block_size} blocks={plan.blocks} "
             f"forward[{_counts(ledger.forward)}] inverse[{_counts(ledger.inverse)}] "
             f"base_transforms={base.total()} wall_ms={wall / 1e6:.2f}",
             err=True,
@@ -175,25 +172,17 @@ def compute(op, coeffs, infile, random_input, n, blocks, block_size, seed, out):
 @click.argument("op", type=click.Choice(BLOCKWISE_OPS))
 @click.option("--n", "ns", required=True, help="Comma-separated list of precisions.")
 @click.option("--blocks", "blocks_list", help="Comma-separated block counts (default: auto).")
-@click.option("--block-size", type=int, help="Fix the block size m for every run.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.option("--no-baselines", is_flag=True, help="Skip the classical comparison rows.")
-def bench(op, ns, blocks_list, block_size, seed, fmt, no_baselines):
+def bench(op, ns, blocks_list, seed, fmt, no_baselines):
     """Measure transform counts, weighted costs, and wall times."""
-    if op == "sqrtrem" and block_size is not None:
-        raise click.UsageError("--block-size does not apply to sqrtrem")
     n_values = _parse_int_list(ns, "--n")
     blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list else [None]
     try:
         records = run_bench(
-            op,
-            n_values,
-            blocks_values,
-            block_size=block_size,
-            seed=seed,
-            include_baselines=not no_baselines,
+            op, n_values, blocks_values, seed=seed, include_baselines=not no_baselines
         )
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -13,6 +13,8 @@ RNG_NAME = "pcg64"
 
 def random_series(seed: int, n: int) -> np.ndarray:
     """Series with constant term 1 and entries uniform in [-1/4, 1/4]."""
+    if n < 1:
+        raise ValueError(f"series length must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     f = np.zeros(n, dtype=np.complex128)
     f[0] = 1.0

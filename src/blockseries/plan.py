@@ -14,9 +14,9 @@ unit of k: 1 for the square root (r = k blocks), 3 for the reciprocal
   like k * n.
 
 The default plan scores every k = 1..max_blocks and keeps the cheapest
-(the smallest k on ties).  An explicit block count skips the scoring and
-uses the same block-size rule, so re-planning with a plan's own block count
-returns that plan.
+(the smallest k on ties).  An explicit block count, at most ceil(n / u),
+skips the scoring and uses the same block-size rule, so re-planning with a
+plan's own block count returns that plan.
 """
 
 from __future__ import annotations
@@ -131,8 +131,10 @@ def choose_plan(scheme: Scheme, n: int, blocks: int | None = None) -> BlockPlan:
     """Plan for precision n: the cheapest block count, or the given one."""
     if n < 1:
         raise ValueError("precision must be >= 1")
+    # Beyond ceil(n / unit) blocks of size 1, every further block is padding.
+    limit = -(-n // scheme.unit)
     if blocks is None:
         blocks = _cheapest_blocks(scheme, n)
-    elif blocks < 1:
-        raise ValueError("block count must be >= 1")
+    elif not 1 <= blocks <= limit:
+        raise ValueError(f"block count {blocks} is outside 1..{limit} for precision {n}")
     return BlockPlan(n, blocks, block_size(scheme, n, blocks))

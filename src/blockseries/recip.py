@@ -110,7 +110,6 @@ def recip(
     ledger: TransformLedger,
     *,
     blocks: int | None = None,
-    block_size: int | None = None,
     base_ledger: TransformLedger | None = None,
 ) -> np.ndarray:
     """Reciprocal of a series with constant term 1, to n coefficients.
@@ -121,14 +120,7 @@ def recip(
     f = as_series(f)
     require_unit_constant(f)
     plan = choose_params(n, blocks)
-    m = block_size if block_size is not None else plan.block_size
-    s = plan.blocks
-    if 3 * s * m < n:
-        raise ValueError(f"3*{s} blocks of {m} cover only {3 * s * m} < {n} coefficients")
-    padded = np.zeros(3 * s * m, dtype=np.complex128)
-    padded[: min(n, len(f))] = f[:n]
-    fs = decompose(padded, m, 3 * s)
+    fs = decompose(f[:n], plan.block_size, 3 * plan.blocks)
     base = base_ledger if base_ledger is not None else TransformLedger()
-    g0 = baselines.recip_schonhage(fs.blocks[0], m, base)
-    out = recip_block_iter(fs, g0, s, ledger)
-    return out[:n]
+    g0 = baselines.recip_schonhage(fs.blocks[0], plan.block_size, base)
+    return recip_block_iter(fs, g0, plan.blocks, ledger)[:n]

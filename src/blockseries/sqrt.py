@@ -99,7 +99,6 @@ def sqrt(
     ledger: TransformLedger,
     *,
     blocks: int | None = None,
-    block_size: int | None = None,
     base_ledger: TransformLedger | None = None,
 ) -> np.ndarray:
     """Square root of a series with constant term 1, to n coefficients.
@@ -110,17 +109,10 @@ def sqrt(
     f = as_series(f)
     require_unit_constant(f)
     plan = choose_params(n, blocks)
-    m = block_size if block_size is not None else plan.block_size
-    r = plan.blocks
-    if r * m < n:
-        raise ValueError(f"{r} blocks of {m} cover only {r * m} < {n} coefficients")
-    padded = np.zeros(r * m, dtype=np.complex128)
-    padded[: min(n, len(f))] = f[:n]
-    fs = decompose(padded, m, r)
+    fs = decompose(f[:n], plan.block_size, plan.blocks)
     base = base_ledger if base_ledger is not None else TransformLedger()
-    g0, g0_inv = baselines.sqrt_newton_coupled(fs.blocks[0], m, base)
-    out = sqrt_block_iter(fs, g0, g0_inv, r, ledger)
-    return out[:n]
+    g0, g0_inv = baselines.sqrt_newton_coupled(fs.blocks[0], plan.block_size, base)
+    return sqrt_block_iter(fs, g0, g0_inv, plan.blocks, ledger)[:n]
 
 
 def sqrt_rem(
@@ -147,13 +139,11 @@ def sqrt_rem(
         raise ValueError(f"input must be monic, got leading coefficient {complex(f[-1])}")
     half_deg = (len(f) - 1) // 2
     ncoeff = half_deg + 1
-    rev = f[::-1].copy()
+    rev = f[::-1]
 
     plan = rem_params(half_deg, blocks)
     m, r = plan.block_size, plan.blocks
-    padded = np.zeros(r * m, dtype=np.complex128)
-    padded[: min(len(rev), r * m)] = rev[: r * m]
-    fs = decompose(padded, m, r)
+    fs = decompose(rev, m, r)
     base = base_ledger if base_ledger is not None else TransformLedger()
     g0, g0_inv = baselines.sqrt_newton_coupled(fs.blocks[0], m, base)
     root, cache = _sqrt_blocks(fs, g0, g0_inv, r, ledger)

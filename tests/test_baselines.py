@@ -3,7 +3,6 @@ import pytest
 
 from blockseries import TransformLedger, recip_schonhage, sqrt_newton_coupled
 from blockseries import oracle
-from blockseries.bench import run_case
 from blockseries.corpus import conditioned_series
 
 
@@ -60,12 +59,3 @@ class TestSqrtNewtonCoupled:
             with pytest.raises(ValueError, match="constant term 1, got"):
                 sqrt_newton_coupled(f, 4, TransformLedger())
 
-
-class TestCrossover:
-    def test_blockwise_beats_doubling_at_four_blocks(self):
-        # Weighted cost (sum of len*log2(len)) including the base case.
-        m, s = 256, 4
-        n = 3 * s * m
-        rec = run_case("recip", n, blocks=s, seed=0)
-        sch = run_case("recip_schonhage", n, seed=0)
-        assert rec.weighted_cost + rec.base_cost < sch.weighted_cost

@@ -84,9 +84,18 @@ class TestCompute:
         assert "forward[" in result.stderr
 
     def test_precondition_failure_exit_one(self, runner):
-        result = runner.invoke(main, ["compute", "recip", "--coeffs", "2,1", "--n", "4"])
+        for args in (["compute", "recip", "--coeffs", "2,1", "--n", "4"],
+                     ["compute", "sqrt", "--random", "--n", "0"],
+                     ["bench", "sqrt", "--n", "0"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, args
+            assert "error:" in result.stderr, args
+        # Past ceil(n / unit) = 10 blocks every further block would be padding.
+        result = runner.invoke(
+            main, ["compute", "sqrt", "--coeffs", "1,1", "--n", "10", "--blocks", "11"]
+        )
         assert result.exit_code == 1
-        assert "error:" in result.stderr
+        assert "block count 11 is outside 1..10" in result.stderr
         result = runner.invoke(
             main, ["compute", "sqrt", "--coeffs", "1.000000000001,1", "--n", "3"]
         )
@@ -112,13 +121,6 @@ class TestCompute:
         )
         assert result.exit_code == 2
         assert "--seed" in result.output
-
-    def test_sqrtrem_block_size_usage_error(self, runner):
-        result = runner.invoke(
-            main, ["compute", "sqrtrem", "--coeffs", "1,2,1", "--block-size", "4"]
-        )
-        assert result.exit_code == 2
-        assert "--block-size" in result.output
         # The degree of a given input fixes sqrtrem's size; --n would be ignored.
         result = runner.invoke(main, ["compute", "sqrtrem", "--coeffs", "1,2,1", "--n", "8"])
         assert result.exit_code == 2
@@ -184,10 +186,6 @@ class TestBench:
         assert [r["op"] for r in records] == ["sqrt", "sqrt_newton_coupled"]
         r = records[0]["blocks"]
         assert sum(records[0]["forward"].values()) == 2 * r - 1
-
-    def test_sqrtrem_block_size_usage_error(self, runner):
-        result = runner.invoke(main, ["bench", "sqrtrem", "--n", "64", "--block-size", "8"])
-        assert result.exit_code == 2
 
     def test_bad_list_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "sqrt", "--n", "64;128"])

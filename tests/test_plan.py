@@ -16,13 +16,19 @@ REPLAN_NS = [*range(1, 5001), 2**16, 2**18, 2**18 + 1]
 COUNT_NS = [1, 2, 4, 17, 999, 4097, 2**16]
 
 
-def check_op(op, n, f):
-    """Run op at its default plan; the ledger must hold its exact count split."""
+# Largest explicit block count per op: ceil(n / unit) blocks of size 1, where
+# sqrtrem plans the square root of n + 1 coefficients.
+BLOCK_LIMIT = {"sqrt": lambda n: n, "recip": lambda n: -(-n // 3), "sqrtrem": lambda n: n + 1}
+
+
+def check_op(op, n, f, blocks=None):
+    """Run op at its plan; the ledger must hold its exact count split."""
     spec = OPS[op]
-    plan = spec.plan(n, None)
+    plan = spec.plan(n, blocks)
     led = TransformLedger()
-    out = spec.run(spec.fn, f, n, led, None, None, None)
-    expect_counts(led, 2 * plan.block_size, spec.counts(plan.blocks), f"{op} n={n}")
+    out = spec.run(spec.fn, f, n, led, blocks, None)
+    expect_counts(led, 2 * plan.block_size, spec.counts(plan.blocks),
+                  f"{op} n={n} blocks={blocks}")
     return out
 
 
@@ -62,8 +68,14 @@ class TestPlanner:
 
 class TestDefaultPlanProperty:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1))
-    def test_ops_match_oracles_and_counts(self, n, seed):
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.data())
+    def test_ops_match_oracles_and_counts(self, n, seed, data):
+        # The default plan or an explicit block count up to the limit; the
+        # accumulate passes grow like k^2, so counts above 64 are not drawn.
         for op in BLOCKWISE_OPS:
+            limit = BLOCK_LIMIT[op](n)
+            blocks = data.draw(st.none() | st.integers(1, min(limit, 64)), label=op)
             f = OPS[op].make_input(seed, n)
-            assert OPS[op].error(f, n, check_op(op, n, f)) <= 1e-9
+            assert OPS[op].error(f, n, check_op(op, n, f, blocks)) <= 1e-9
+            with pytest.raises(ValueError, match="outside"):
+                OPS[op].plan(n, limit + 1)

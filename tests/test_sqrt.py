@@ -12,10 +12,8 @@ from blockseries import (
     sqrt_rem,
 )
 from blockseries import oracle
-from blockseries.checks import spent, spied
 from blockseries.corpus import conditioned_series, random_monic, random_series
 from blockseries.plan import SQRT, predicted_ns
-from blockseries.sqrt import rem_params
 
 
 def oracle_base(f_block, m):
@@ -54,8 +52,9 @@ class TestChooseParams:
             assert plan.blocks * plan.block_size >= n
 
     def test_bad_override(self):
-        with pytest.raises(ValueError):
-            choose_params(16, 0)
+        for blocks in (0, 17):  # at most ceil(n / 1) = 16 blocks
+            with pytest.raises(ValueError, match=f"block count {blocks} is outside 1..16"):
+                choose_params(16, blocks)
 
     def test_bad_precision(self):
         with pytest.raises(ValueError):
@@ -75,17 +74,6 @@ class TestBlockIteration:
         f = decompose([1, 2, 1, 0], 2, 2)
         got = sqrt_block_iter(f, [1, 1], [1, -1], 2, TransformLedger())
         np.testing.assert_allclose(got, [1, 1, 0, 0], atol=1e-12)
-
-    @pytest.mark.parametrize("blocks", [1, 2, 3, 7, 16])
-    def test_transform_count(self, blocks):
-        m = 32
-        f = decompose(random_series(blocks, blocks * m), m, blocks)
-        g0, g0_inv = oracle_base(f.blocks[0], m)
-        led = TransformLedger()
-        sqrt_block_iter(f, g0, g0_inv, blocks, led)
-        assert dict(led.forward) == {2 * m: 2 * (blocks - 1) + 1}
-        assert sum(led.inverse.values()) == 2 * (blocks - 1)
-        assert set(led.inverse) <= {2 * m}
 
     def test_matches_oracle(self):
         m, blocks = 8, 5
@@ -138,12 +126,6 @@ class TestSqrt:
         assert set(led.forward) | set(led.inverse) == {32}  # only 2m = 32
         assert base.total() > 0
 
-    def test_determinism(self):
-        f = random_series(5, 200)
-        a = sqrt(f, 200, TransformLedger())
-        b = sqrt(f, 200, TransformLedger())
-        assert np.array_equal(a, b)
-
     def test_requires_unit_constant(self):
         for f in ([2, 1], [1 + 1e-12, 1]):
             with pytest.raises(ValueError, match="constant term 1, got"):
@@ -174,18 +156,6 @@ class TestSqrtRem:
             resid = f - oracle.mul_schoolbook(g, g)
             resid[:32] -= rem
             assert np.abs(resid).max() <= 1e-8
-
-    def test_extra_cost_split(self):
-        # Beyond the plain square-root iteration: one forward transform and
-        # one inverse per block, for a 5r - 2 total.
-        r = rem_params(64).blocks
-        for seed in range(3):
-            f = random_monic(seed, 128)
-            led = TransformLedger()
-            _, calls = spied("blockseries.sqrt", ["_sqrt_blocks"], led,
-                             lambda mod: mod.sqrt_rem(f, led))
-            assert spent(calls[0].after, led.snapshot()) == (1, r)
-            assert led.total() == 5 * r - 2
 
     def test_rejects_bad_inputs(self):
         for lead in (2.0, 1 + 1e-12):
