@@ -424,6 +424,17 @@ def baselines_check(full: bool) -> str:
     return _require(worst <= 1e-8 * n, f"max baseline error {worst:.3e}")
 
 
+def real_input(full: bool) -> str:
+    """Real inputs give exactly real outputs from every op, odd lengths included."""
+    top, extra = (70, [100, 2048, 3001, 2**16]) if full else (12, [100, 3001])
+    for n in [*range(1, top + 1), *extra]:
+        for op, spec in OPS.items():
+            out = spec.run(spec.fn, spec.make_input(n, n), n, TransformLedger(), None, None)
+            for part in out if isinstance(out, tuple) else (out,):
+                _require(not part.imag.any(), f"{op} n={n}: imaginary part in the output")
+    return f"{len(OPS)} ops exactly real at n = 1..{top}, {', '.join(map(str, extra))}"
+
+
 def cost_crossover(full: bool) -> str:
     """Blockwise reciprocal (base case included) beats doubling in weighted
     cost; both ops' cost ratios are within 5% of the paper's count ratios."""
@@ -468,6 +479,7 @@ CHECKS = [
     ("third-order-identity", third_order_identity),
     ("sqrt-remainder", sqrt_remainder),
     ("baselines", baselines_check),
+    ("real-input", real_input),
     ("cost-crossover", cost_crossover),
     ("determinism", determinism),
 ]

@@ -132,19 +132,14 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
 
         ledger = TransformLedger()
         base = TransformLedger()
-        # Real input means a real result; drop the roundoff imaginary part.
-        real_input = not f.imag.any()
         # The entry point is looked up in this module, so rebinding cli.sqrt,
         # cli.recip or cli.sqrt_rem reaches the call.
         fn = globals()[spec.fn.__name__]
         t0 = time.perf_counter_ns()
         result = spec.run(fn, f, n, ledger, blocks, base)
         wall = time.perf_counter_ns() - t0
-        parts = result if op == "sqrtrem" else (result,)
-        if real_input:
-            parts = [p.real.astype(np.complex128) for p in parts]
         if op == "sqrtrem":
-            g, rem = parts
+            g, rem = result
             n = len(g) - 1
             _write_coeffs(g, out, f"sqrtrem root of degree-{len(f) - 1} input")
             if out is None:
@@ -154,7 +149,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
                 _write_coeffs(rem, f"{out}.rem", "sqrtrem remainder")
             label = f"op=sqrtrem deg={len(f) - 1}"
         else:
-            _write_coeffs(parts[0], out, f"{op} to order {n}")
+            _write_coeffs(result, out, f"{op} to order {n}")
             label = f"op={op} n={n}"
         plan = spec.plan(n, blocks)
         click.echo(

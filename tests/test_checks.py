@@ -8,7 +8,9 @@ from blockseries import checks, transform
 NAMES = [name for name, _ in checks.CHECKS]
 
 # Checks that compare no FFT output with a value (counts, schoolbook
-# arithmetic, cost sums, repeatability), so a corrupted twiddle passes them.
+# arithmetic, cost sums, repeatability, exact realness, which the transform's
+# real path enforces by symmetry whatever the twiddles), so a corrupted
+# twiddle passes them.
 SURVIVE_FAULT = {
     "ledger-exactness",
     "sqrt-counts",
@@ -16,6 +18,7 @@ SURVIVE_FAULT = {
     "third-order-identity",
     "cost-crossover",
     "determinism",
+    "real-input",
 }
 
 

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from blockseries import oracle
 from blockseries.cli import main
-from blockseries.corpus import conditioned_monic
+from blockseries.corpus import conditioned_monic, conditioned_series
 
 
 @pytest.fixture
@@ -74,6 +74,26 @@ class TestCompute:
         result = runner.invoke(main, ["compute", "sqrtrem", "--coeffs", "1,2,1"])
         assert result.exit_code == 0
         assert "# remainder" in result.stdout
+
+    @pytest.mark.parametrize("source", ["--coeffs", "--in"])
+    @pytest.mark.parametrize("op", ["sqrt", "recip", "sqrtrem"])
+    def test_real_input_prints_real_output(self, runner, tmp_path, op, source):
+        # Long enough for the transforms' half-length real path.
+        f = conditioned_monic(5, 2000) if op == "sqrtrem" else conditioned_series(5, 2000)
+        coeffs = [repr(c) for c in f.real.tolist()]
+        args = ["compute", op]
+        if source == "--coeffs":
+            args += ["--coeffs", ",".join(coeffs)]
+        else:
+            (tmp_path / "f.txt").write_text("\n".join(coeffs) + "\n")
+            args += ["--in", str(tmp_path / "f.txt")]
+        if op != "sqrtrem":
+            args += ["--n", "3000"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        lines = [line for line in result.stdout.splitlines() if not line.startswith("#")]
+        assert len(lines) == (2001 if op == "sqrtrem" else 3000)
+        assert all(len(line.split()) == 1 for line in lines)
 
     def test_summary_line(self, runner):
         result = runner.invoke(

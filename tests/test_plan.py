@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,10 +73,18 @@ class TestDefaultPlanProperty:
     def test_ops_match_oracles_and_counts(self, n, seed, data):
         # The default plan or an explicit block count up to the limit; the
         # accumulate passes grow like k^2, so counts above 64 are not drawn.
+        # A complex input rotates every coefficient but the unit one, which
+        # keeps the input's conditioning; a real input must give a real output.
         for op in BLOCKWISE_OPS:
             limit = BLOCK_LIMIT[op](n)
             blocks = data.draw(st.none() | st.integers(1, min(limit, 64)), label=op)
+            real = data.draw(st.booleans(), label=f"{op} real")
             f = OPS[op].make_input(seed, n)
-            assert OPS[op].error(f, n, check_op(op, n, f, blocks)) <= 1e-9
+            if not real:
+                f = np.where(f == 1, f, f * np.exp(0.7j))
+            out = check_op(op, n, f, blocks)
+            assert OPS[op].error(f, n, out) <= 1e-9
+            if real:
+                assert not any(part.imag.any() for part in (out if op == "sqrtrem" else [out]))
             with pytest.raises(ValueError, match="outside"):
                 OPS[op].plan(n, limit + 1)

@@ -14,7 +14,7 @@ from blockseries import (
     next_supported,
     pointwise_mul,
 )
-from blockseries import oracle
+from blockseries import oracle, transform
 
 
 def all_supported_up_to(limit):
@@ -92,6 +92,63 @@ class TestRoundTrip:
         p = rng.uniform(-1, 1, n)
         led = TransformLedger()
         assert np.abs(inverse(forward(p, n, led), led) - p).max() <= 1e-10
+
+
+# Odd and even lengths on both sides of REAL_MIN_LENGTH.
+REAL_LENGTHS = all_supported_up_to(4096) + [2**15]
+
+
+def is_hermitian(s):
+    n = len(s)
+    return (s[0].imag == 0 and (n % 2 or s[n // 2].imag == 0)
+            and np.array_equal(s[1:], np.conj(s[:0:-1])))
+
+
+class TestRealPath:
+    def test_lengths_straddle_threshold(self):
+        assert REAL_LENGTHS[0] < transform.REAL_MIN_LENGTH < REAL_LENGTHS[-1]
+
+    @pytest.mark.parametrize("n", REAL_LENGTHS)
+    def test_real_series(self, n):
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        led = TransformLedger()
+        s = forward(x, n, led)
+        assert dict(led.forward) == {n: 1} and not led.inverse
+        want = np.fft.ifft(x) * n
+        assert np.abs(s - want).max() <= 1e-12 * np.abs(want).max()
+        assert is_hermitian(s)
+        back = inverse(s, led)
+        assert dict(led.forward) == {n: 1} and dict(led.inverse) == {n: 1}
+        assert not back.imag.any()
+        assert np.abs(back - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", REAL_LENGTHS)
+    def test_complex_series_bitwise_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        led = TransformLedger()
+        s = forward(p, n, led)
+        assert np.array_equal(s, transform._dft(p.reshape(1, n))[0])
+        # Hermitian means exactly: a denormal imaginary bin 0 takes the complex inverse.
+        h = forward(p.real, n, led)
+        h[0] = complex(h[0].real, 5e-324)
+        for spec in (s, h):
+            want = np.conj(transform._dft(np.conj(spec).reshape(1, n))[0]) / n
+            assert np.array_equal(inverse(spec, led), want)
+        assert dict(led.forward) == {n: 2} and dict(led.inverse) == {n: 2}
+
+    @pytest.mark.parametrize("n", [n for n in REAL_LENGTHS if n >= 6])
+    def test_fault_corrupts_both_paths(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, n)
+        p = x + 1j * rng.uniform(-1, 1, n)
+        led = TransformLedger()
+        clean = [forward(x, n, led), forward(p, n, led)]
+        with transform.twiddle_fault():
+            faulty = [forward(x, n, led), forward(p, n, led),
+                      inverse(clean[0], led), inverse(clean[1], led)]
+        for got, want in zip(faulty, clean + [x, p]):
+            assert np.abs(got - want).max() > 1e-3
 
 
 class TestTransformOfShift:
