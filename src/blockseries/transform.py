@@ -122,8 +122,8 @@ _PLANS: dict[int, tuple[int, np.ndarray]] = {}
 
 # Shortest even length that the real path computes at half length.  In a
 # forward+inverse sweep of every supported even length 2..2^15 the half-length
-# path beat full length + mirror from 4 up (median time ratio 0.78-0.99 below
-# 128, 0.4 at 2^15) and lost only at 2 (1.05); see CHANGES.md.
+# path beat full length + mirror from 4 up (median time ratio 0.79-0.99 up to
+# 128, 0.38 at 2^15) and lost only at 2 (1.03); see CHANGES.md.
 REAL_MIN_LENGTH = 4
 
 # length -> (a, conj(a[:n/2])) with a[j] = (1 - i*w^j)/2, j = 0..n/2,
@@ -304,7 +304,7 @@ def forward(p, n: int, ledger: TransformLedger) -> Spectrum:
         raise ValueError(f"polynomial length {len(p)} exceeds transform length {n}")
     if len(p) and not np.isfinite(p).all():
         raise ValueError("non-finite coefficient in input")
-    real = not np.count_nonzero(p.imag)
+    real = not np.count_nonzero(p.imag)  # as p.imag.any(), at a third of the cost
     if real and _half_length(n):
         out = _forward_half(p.real, n)
     else:
