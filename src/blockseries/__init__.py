@@ -17,7 +17,6 @@ from .blockwise import (
     combined_block,
     decompose,
     product_block,
-    shifted,
 )
 from .plan import BlockPlan
 from .recip import recip, recip_block_iter
@@ -61,7 +60,6 @@ __all__ = [
     "recip",
     "recip_block_iter",
     "recip_schonhage",
-    "shifted",
     "sqrt",
     "sqrt_block_iter",
     "sqrt_newton_coupled",

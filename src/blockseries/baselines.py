@@ -12,6 +12,7 @@ from .transform import (
     forward,
     inverse,
     next_supported,
+    require_finite,
     require_unit_constant,
 )
 
@@ -47,6 +48,7 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
     known, so indices k..2k-1 come out exact.
     """
     f = as_series(f)
+    require_finite(f)
     require_unit_constant(f)
     if n < 1:
         raise ValueError("precision must be >= 1")
@@ -73,6 +75,7 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
     case provider for the blockwise square root, which needs both values.
     """
     f = as_series(f)
+    require_finite(f)
     require_unit_constant(f)
     if n < 1:
         raise ValueError("precision must be >= 1")

@@ -174,7 +174,7 @@ def _block_error(f, g, fc, gc, k: int, combined: bool, led: TransformLedger) -> 
     m = fc.block_size
     snap = led.snapshot()
     if combined:
-        got = combined_block([(fc, fc, +1), (fc, gc, -1)], k, led)
+        got = combined_block([(fc, fc, k, +1), (fc, gc, k, -1)], led)
         want = block_of(oracle.mul_schoolbook(f, f) - oracle.mul_schoolbook(f, g), k, m)
     else:
         got = product_block(fc, gc, k, led)

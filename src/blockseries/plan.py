@@ -35,7 +35,9 @@ from .transform import next_supported
 # six interleaved passes), fitted by least squares on relative error; the
 # fixed cost grows with the recursion depth, and per L * log2(L) the
 # 3-part of a length costs 1.4 times the 2-part.  Accumulate: the per-step
-# time of _accumulate at block sizes 1..2^16.  Glue: the end-to-end time of
+# time of the per-block loop that blockwise._accumulate's row contraction
+# replaced, at block sizes 1..2^16; kept so plans stay as they were until a
+# refit (CHANGES.md has the contraction's cost).  Glue: the end-to-end time of
 # a block-count sweep (sqrt and recip, n = 2^6..2^18, k = 1..max) left over
 # after the terms above, fitted per main transform.
 TRANSFORM_NS = 3030.0  # fixed cost of one transform call

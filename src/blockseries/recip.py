@@ -21,7 +21,6 @@ from .blockwise import (
     combined_block,
     decompose,
     product_block,
-    shifted,
 )
 from .plan import RECIP, BlockPlan, choose_plan
 from .transform import (
@@ -30,6 +29,7 @@ from .transform import (
     forward,
     inverse,
     pointwise_mul,
+    require_finite,
     require_unit_constant,
 )
 
@@ -59,7 +59,7 @@ def recip_block_iter(
     if len(g0) != m:
         raise ValueError("base-case block must match the block size")
 
-    inv_low = BlockSeries(m)
+    inv_low = BlockSeries(m, s)
     inv_low.append(g0)
     inv_cache = TransformCache(inv_low)
     g0_spec = inv_cache.ensure(0, ledger)
@@ -77,7 +77,7 @@ def recip_block_iter(
         inv_cache.ensure(k, ledger)
 
     # Phase 2: negated low defect blocks of f * inv.
-    corr = BlockSeries(m)
+    corr = BlockSeries(m, 2 * s)
     corr_cache = TransformCache(corr)
     for k in range(s):
         blk = product_block(f_cache, inv_cache, k + s, ledger)
@@ -87,18 +87,16 @@ def recip_block_iter(
     # Phase 3: fused pass.  Block k (s <= k < 2s) of the correction is
     # (corr_low^2) at k-s minus (f * inv) at k+s, combined in the spectral
     # domain and realized with a single inverse transform per block.
-    corr_sq = shifted(corr_cache, s)
-    f_high = shifted(f_cache, -s)
     for k in range(s, 2 * s):
         blk = combined_block(
-            [(corr_sq, corr_cache, +1), (f_high, inv_cache, -1)], k, ledger
+            [(corr_cache, corr_cache, k - s, +1), (f_cache, inv_cache, k + s, -1)], ledger
         )
         corr.append(blk)
         corr_cache.ensure(k, ledger)
 
     # Phase 4: third-order update; upper output blocks are the product of the
     # correction with the partial inverse, no new forward transforms.
-    out = list(inv_low.blocks)
+    out = [inv_low.recompose()]
     for k in range(s, 3 * s):
         out.append(product_block(corr_cache, inv_cache, k - s, ledger))
     return np.concatenate(out)
@@ -118,6 +116,7 @@ def recip(
     given), keeping the main ledger's 13s - 3 count exact.
     """
     f = as_series(f)
+    require_finite(f)
     require_unit_constant(f)
     plan = choose_params(n, blocks)
     fs = decompose(f[:n], plan.block_size, 3 * plan.blocks)

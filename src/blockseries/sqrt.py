@@ -25,6 +25,7 @@ from .transform import (
     forward,
     inverse,
     pointwise_mul,
+    require_finite,
     require_unit_constant,
 )
 
@@ -64,7 +65,7 @@ def _sqrt_blocks(
         raise ValueError("base-case blocks must match the block size")
 
     inv_spec = forward(g0_inv, 2 * m, ledger)
-    root = BlockSeries(m)
+    root = BlockSeries(m, blocks)
     root.append(g0)
     cache = TransformCache(root)
     for k in range(1, blocks):
@@ -107,6 +108,7 @@ def sqrt(
     given), keeping the main ledger's 4*blocks - 3 count exact.
     """
     f = as_series(f)
+    require_finite(f)
     require_unit_constant(f)
     plan = choose_params(n, blocks)
     fs = decompose(f[:n], plan.block_size, plan.blocks)
@@ -133,6 +135,7 @@ def sqrt_rem(
     Returns (g, rem) with len(g) = n + 1, g monic, len(rem) = n.
     """
     f = as_series(f)
+    require_finite(f)
     if len(f) < 3 or len(f) % 2 == 0:
         raise ValueError("input must have even degree >= 2")
     if f[-1] != 1.0:
@@ -148,14 +151,12 @@ def sqrt_rem(
     g0, g0_inv = baselines.sqrt_newton_coupled(fs.blocks[0], m, base)
     root, cache = _sqrt_blocks(fs, g0, g0_inv, r, ledger)
 
-    # Truncate the series root to the polynomial part (degree n in reverse),
-    # keeping the discarded tail for the remainder completion below.
-    flat = root.recompose()
+    # Truncate the series root to the polynomial part (degree n in reverse)
+    # in its store, keeping the discarded tail for the remainder completion.
+    flat = root.rows.reshape(-1)
     tail = flat[ncoeff:].copy()
+    flat[ncoeff:] = 0.0
     slack = r * m - ncoeff
-    if slack:
-        root.blocks[r - 1][m - slack :] = 0.0
-        flat[ncoeff:] = 0.0
     # The one forward transform the iteration never performed.
     cache.ensure(r - 1, ledger)
     # Blocks r..2r-1 of the truncated root's square: one inverse each.

@@ -287,6 +287,13 @@ def as_series(f) -> Poly:
     return f
 
 
+def require_finite(f: Poly) -> None:
+    """Reject series with a non-finite coefficient, naming the first one."""
+    bad = np.flatnonzero(~np.isfinite(f))
+    if len(bad):
+        raise ValueError(f"non-finite coefficient at index {bad[0]}: {complex(f[bad[0]])}")
+
+
 def require_unit_constant(f: Poly) -> None:
     """Reject series whose constant term is not exactly 1."""
     if len(f) == 0:
@@ -303,7 +310,7 @@ def forward(p, n: int, ledger: TransformLedger) -> Spectrum:
     if len(p) > n:
         raise ValueError(f"polynomial length {len(p)} exceeds transform length {n}")
     if len(p) and not np.isfinite(p).all():
-        raise ValueError("non-finite coefficient in input")
+        raise ValueError(f"non-finite value in a length-{n} transform input")
     real = not np.count_nonzero(p.imag)  # as p.imag.any(), at a third of the cost
     if real and _half_length(n):
         out = _forward_half(p.real, n)

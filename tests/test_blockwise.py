@@ -13,7 +13,6 @@ from blockseries import (
     forward,
     middle_product,
     product_block,
-    shifted,
 )
 from blockseries import oracle
 from blockseries.checks import block_of
@@ -56,7 +55,14 @@ class TestDecompose:
 
     def test_bad_block_size(self):
         with pytest.raises(ValueError):
-            BlockSeries(5)  # 10 = 2 * 5 is not 3-smooth
+            BlockSeries(5, 1)  # 10 = 2 * 5 is not 3-smooth
+
+    def test_append_past_capacity(self):
+        bs = BlockSeries(2, 1)
+        bs.append([1, 2])
+        with pytest.raises(ValueError, match="capacity"):
+            bs.append([3])
+        np.testing.assert_array_equal(bs.recompose(), [1, 2])
 
 
 class TestTransformCache:
@@ -67,7 +73,7 @@ class TestTransformCache:
         first = cache.ensure(1, led)
         snap = led.snapshot()
         second = cache.ensure(1, led)
-        assert second is first
+        assert np.shares_memory(second, first)
         assert led.delta(snap) == ({}, {})
 
     def test_zero_block(self):
@@ -97,8 +103,24 @@ class TestTransformCache:
         gc = TransformCache(bs)
         gc.ensure(0, led)
         gc.ensure(1, led)
-        with pytest.raises(MissingSpectrumError):
+        with pytest.raises(MissingSpectrumError, match="block 1"):
             product_block(fc, gc, 1, led)
+
+    def test_missing_entry_on_g_side_raises(self):
+        led = TransformLedger()
+        fc, _ = warm([1, 2, 3, 4], [1, 2, 3, 4], 2, 2, led)
+        gc = TransformCache(decompose([1, 2, 3, 4], 2, 2))
+        gc.ensure(1, led)  # block 0 left uncomputed
+        with pytest.raises(MissingSpectrumError, match="block 0"):
+            product_block(fc, gc, 1, led)
+
+    def test_missing_entry_in_second_term_raises(self):
+        led = TransformLedger()
+        fc, gc = warm([1, 2, 3, 4], [5, 6, 7, 8], 2, 2, led)
+        hc = TransformCache(decompose([1, 2, 3, 4], 2, 2))
+        hc.ensure(0, led)  # block 1 left uncomputed
+        with pytest.raises(MissingSpectrumError, match="block 1"):
+            combined_block([(fc, gc, 1, +1), (hc, gc, 1, -1)], led)
 
 
 class TestProductBlock:
@@ -174,6 +196,22 @@ class TestProductBlock:
                 want = schoolbook_block(f, g, k, m)
                 assert np.abs(got - want).max() <= 1e-9 * m * (k + 1)
 
+    def test_factor_with_fewer_blocks_than_k(self):
+        # g has one block, so block 3 of f*g only meets f's blocks 2 and 3.
+        rng = np.random.default_rng(14)
+        m, nb = 4, 4
+        f = rng.uniform(-1, 1, m * nb)
+        g = rng.uniform(-1, 1, m)  # single block
+        led = TransformLedger()
+        fc = TransformCache(decompose(f, m, nb))
+        gc = TransformCache(decompose(g, m, 1))
+        for i in range(nb):
+            fc.ensure(i, led)
+        gc.ensure(0, led)
+        got = product_block(fc, gc, 3, led)
+        want = schoolbook_block(f, g, 3, m)
+        assert np.abs(got - want).max() <= 1e-9
+
 
 class TestCombinedBlock:
     def test_single_term_reduces_to_product(self):
@@ -182,7 +220,7 @@ class TestCombinedBlock:
         led = TransformLedger()
         fc, gc = warm(rng.uniform(-1, 1, m * nb), rng.uniform(-1, 1, m * nb), m, nb, led)
         for k in range(nb):
-            a = combined_block([(fc, gc, +1)], k, led)
+            a = combined_block([(fc, gc, k, +1)], led)
             b = product_block(fc, gc, k, led)
             np.testing.assert_array_equal(a, b)
 
@@ -191,7 +229,7 @@ class TestCombinedBlock:
         m, nb = 4, 2
         led = TransformLedger()
         fc, gc = warm(rng.uniform(-1, 1, m * nb), rng.uniform(-1, 1, m * nb), m, nb, led)
-        got = combined_block([(fc, gc, +1), (fc, gc, -1)], 1, led)
+        got = combined_block([(fc, gc, 1, +1), (fc, gc, 1, -1)], led)
         assert np.abs(got).max() <= 1e-12
 
     def test_difference_of_products(self):
@@ -204,7 +242,7 @@ class TestCombinedBlock:
         dc, _ = warm(d, d, m, nb, led)
         fc, gc = warm(f, g, m, nb, led)
         for k in range(nb):
-            got = combined_block([(dc, dc, +1), (fc, gc, -1)], k, led)
+            got = combined_block([(dc, dc, k, +1), (fc, gc, k, -1)], led)
             want = schoolbook_block(d, d, k, m) - schoolbook_block(f, g, k, m)
             assert np.abs(got - want).max() <= 1e-9 * m * (k + 1)
 
@@ -213,9 +251,10 @@ class TestCombinedBlock:
         m, nb = 2, 2
         led = TransformLedger()
         fc, gc = warm(rng.uniform(-1, 1, m * nb), rng.uniform(-1, 1, m * nb), m, nb, led)
-        for terms in ([(fc, gc, +1)], [(fc, gc, +1)] * 3, [(fc, gc, +1), (gc, fc, -1)] * 2):
+        for terms in ([(fc, gc, 1, +1)], [(fc, gc, 1, +1)] * 3,
+                      [(fc, gc, 1, +1), (gc, fc, 0, -1)] * 2):
             snap = led.snapshot()
-            combined_block(terms, 1, led)
+            combined_block(terms, led)
             dfwd, dinv = led.delta(snap)
             assert sum(dfwd.values()) == 0
             assert dict(dinv) == {2 * m: 1}
@@ -224,35 +263,23 @@ class TestCombinedBlock:
         led = TransformLedger()
         fc, gc = warm([1, 2], [3, 4], 2, 1, led)
         with pytest.raises(ValueError):
-            combined_block([], 0, led)
+            combined_block([], led)
         with pytest.raises(ValueError):
-            combined_block([(fc, gc, 2)], 0, led)
+            combined_block([(fc, gc, 0, 2)], led)
 
-
-class TestShiftedView:
-    def test_positive_shift_multiplies_by_x_power(self):
-        # A +1 block shift turns block k of f*g into block k-1.
+    def test_terms_at_different_block_indices(self):
+        # Block 1 of f*g minus block 2 of d*d, with one inverse transform.
         rng = np.random.default_rng(13)
         m, nb = 4, 3
+        d = rng.uniform(-1, 1, m * nb)
         f = rng.uniform(-1, 1, m * nb)
         g = rng.uniform(-1, 1, m * nb)
         led = TransformLedger()
+        dc, _ = warm(d, d, m, nb, led)
         fc, gc = warm(f, g, m, nb, led)
-        got = product_block(shifted(fc, 1), gc, 2, led)
-        want = schoolbook_block(f, g, 1, m)
+        snap = led.snapshot()
+        got = combined_block([(fc, gc, 1, +1), (dc, dc, 2, -1)], led)
+        assert led.delta(snap) == ({}, {2 * m: 1})
+        want = schoolbook_block(f, g, 1, m) - schoolbook_block(d, d, 2, m)
         assert np.abs(got - want).max() <= 1e-9
 
-    def test_negative_shift_selects_higher_blocks(self):
-        rng = np.random.default_rng(14)
-        m, nb = 4, 4
-        f = rng.uniform(-1, 1, m * nb)
-        g = rng.uniform(-1, 1, m)  # single block
-        led = TransformLedger()
-        fc = TransformCache(decompose(f, m, nb))
-        gc = TransformCache(decompose(g, m, 1))
-        for i in range(nb):
-            fc.ensure(i, led)
-        gc.ensure(0, led)
-        got = product_block(shifted(fc, -2), gc, 1, led)
-        want = schoolbook_block(f, g, 3, m)
-        assert np.abs(got - want).max() <= 1e-9

@@ -122,6 +122,16 @@ class TestCompute:
         assert result.exit_code == 1
         assert "constant term 1, got (1.000000000001+0j)" in result.stderr
 
+    def test_non_finite_input_exit_one(self, runner):
+        result = runner.invoke(main, ["compute", "recip", "--coeffs", "1,inf", "--n", "4"])
+        assert result.exit_code == 1
+        assert "error: non-finite coefficient at index 1: (inf+0j)" in result.stderr
+        # A finite input that overflows inside the iteration.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(main, ["compute", "recip", "--coeffs", "1,1e200", "--n", "4"])
+        assert result.exit_code == 1
+        assert "error: non-finite value in a length-4 transform input" in result.stderr
+
     def test_missing_n_exit_one(self, runner):
         result = runner.invoke(main, ["compute", "sqrt", "--coeffs", "1,1"])
         assert result.exit_code == 1

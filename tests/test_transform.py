@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,40 @@ from blockseries import (
     middle_product,
     next_supported,
     pointwise_mul,
+    recip,
+    recip_schonhage,
+    sqrt,
+    sqrt_newton_coupled,
+    sqrt_rem,
 )
 from blockseries import oracle, transform
+
+ENTRY_POINTS = {
+    "sqrt": lambda f: sqrt(f, 4, TransformLedger()),
+    "recip": lambda f: recip(f, 4, TransformLedger()),
+    "sqrt_rem": lambda f: sqrt_rem(f, TransformLedger()),
+    "recip_schonhage": lambda f: recip_schonhage(f, 4, TransformLedger()),
+    "sqrt_newton_coupled": lambda f: sqrt_newton_coupled(f, 4, TransformLedger()),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("op", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad, shown", [(np.inf, "(inf+0j)"), (np.nan, "(nan+0j)"),
+                                            (complex(1, -np.inf), "(1-infj)")],
+                             ids=["inf", "nan", "complex"])
+    def test_non_finite_input_names_first_index(self, op, bad, shown):
+        f = np.array([1, 0.5, bad, np.nan, 1], dtype=np.complex128)  # monic, for sqrt_rem
+        want = re.escape(f"non-finite coefficient at index 2: {shown}") + "$"
+        with pytest.raises(ValueError, match=want):
+            ENTRY_POINTS[op](f)
+
+    def test_overflow_inside_is_reported_by_the_transform(self):
+        # Finite input that overflows in the iteration: only the transform's
+        # own check can see it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite value in a length-4 transform input"):
+                recip([1, 1e200], 4, TransformLedger())
 
 
 def all_supported_up_to(limit):
@@ -44,7 +78,7 @@ class TestForward:
             forward([1], 5, TransformLedger())
 
     def test_non_finite_input(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite value in a length-4 transform input"):
             forward([1.0, np.nan], 4, TransformLedger())
 
     def test_too_long(self):
