@@ -1,9 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import blockseries
 from blockseries import oracle
 from blockseries.cli import main
 from blockseries.corpus import conditioned_monic, conditioned_series
@@ -127,10 +133,21 @@ class TestCompute:
         assert result.exit_code == 1
         assert "error: non-finite coefficient at index 1: (inf+0j)" in result.stderr
         # A finite input that overflows inside the iteration.
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = runner.invoke(main, ["compute", "recip", "--coeffs", "1,1e200", "--n", "4"])
+        result = runner.invoke(main, ["compute", "recip", "--coeffs", "1,1e200", "--n", "4"])
         assert result.exit_code == 1
         assert "error: non-finite value in a length-4 transform input" in result.stderr
+
+    @pytest.mark.parametrize("args", ["recip --coeffs 1,1e200 --n 4",
+                                      "sqrt --coeffs 1,1e300 --n 64"], ids=["recip", "sqrt"])
+    def test_overflow_prints_only_the_error_line(self, args):
+        # numpy's overflow warnings go to stderr outside pytest's filters, so
+        # this runs the CLI as a user does, in a process of its own.
+        env = dict(os.environ, PYTHONPATH=str(Path(blockseries.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "blockseries.cli", "compute", *args.split()],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: non-finite value in a length-\d+ transform input\n",
+                            proc.stderr), proc.stderr
 
     def test_missing_n_exit_one(self, runner):
         result = runner.invoke(main, ["compute", "sqrt", "--coeffs", "1,1"])

@@ -132,6 +132,15 @@ class TestRoundTrip:
 REAL_LENGTHS = all_supported_up_to(4096) + [2**15]
 
 
+def reference(p):
+    """sum_k p_k e^{2*pi*i*j*k/n}: direct evaluation up to length 64, np.fft above."""
+    n = len(p)
+    if n > 64:
+        return np.fft.ifft(p) * n
+    jk = np.outer(np.arange(n), np.arange(n)) % n
+    return np.exp(2j * np.pi * jk / n) @ p
+
+
 def is_hermitian(s):
     n = len(s)
     return (s[0].imag == 0 and (n % 2 or s[n // 2].imag == 0)
@@ -162,7 +171,8 @@ class TestRealPath:
         p = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
         led = TransformLedger()
         s = forward(p, n, led)
-        assert np.array_equal(s, transform._dft(p.reshape(1, n))[0])
+        want = reference(p)
+        assert np.abs(s - want).max() <= 1e-12 * np.abs(want).max()
         # Hermitian means exactly: a denormal imaginary bin 0 takes the complex inverse.
         h = forward(p.real, n, led)
         h[0] = complex(h[0].real, 5e-324)
