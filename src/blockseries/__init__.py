@@ -26,13 +26,10 @@ from .transform import (
     Spectrum,
     TransformLedger,
     UnsupportedLengthError,
-    cyclic_convolution,
     forward,
     inverse,
     is_supported,
-    middle_product,
     next_supported,
-    pointwise_mul,
 )
 
 __version__ = "0.1.0"
@@ -48,14 +45,11 @@ __all__ = [
     "UnsupportedLengthError",
     "choose_params",
     "combined_block",
-    "cyclic_convolution",
     "decompose",
     "forward",
     "inverse",
     "is_supported",
-    "middle_product",
     "next_supported",
-    "pointwise_mul",
     "product_block",
     "recip",
     "recip_block_iter",

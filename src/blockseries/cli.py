@@ -55,16 +55,16 @@ def _read_coeff_file(path: str) -> np.ndarray:
     return np.array(coeffs, dtype=np.complex128)
 
 
+def _parse_inline_token(tok: str, pos: int) -> complex:
+    with contextlib.suppress(ValueError):
+        return complex(float(tok), 0.0)
+    with contextlib.suppress(ValueError):
+        return complex(tok.replace(" ", ""))
+    raise ValueError(f"--coeffs token {pos}: expected a real or complex number, got {tok!r}")
+
+
 def _parse_inline(text: str) -> np.ndarray:
-    coeffs = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            coeffs.append(complex(float(tok), 0.0))
-        except ValueError:
-            coeffs.append(complex(tok.replace(" ", "")))
+    coeffs = [_parse_inline_token(tok, pos) for pos, tok in enumerate(text.split(","), 1)]
     return np.array(coeffs, dtype=np.complex128)
 
 

@@ -63,17 +63,3 @@ def recip_recurrence(f, n: int) -> np.ndarray:
     for k in range(1, n):
         g[k] = -np.dot(fx[1 : k + 1], g[k - 1 :: -1])
     return g
-
-
-def middle_product_naive(g, h, n: int) -> np.ndarray:
-    """Coefficients n..2n-1 of the schoolbook product g*h."""
-    g = _as_series(g)
-    h = _as_series(h)
-    if len(g) > 2 * n:
-        raise ValueError(f"first factor length {len(g)} exceeds 2n = {2 * n}")
-    if len(h) > n:
-        raise ValueError(f"second factor length {len(h)} exceeds n = {n}")
-    prod = np.zeros(2 * n, dtype=np.complex128)
-    full = mul_schoolbook(g, h)
-    prod[: min(len(full), 2 * n)] = full[: 2 * n]
-    return prod[n:]

@@ -28,7 +28,6 @@ from .transform import (
     as_series,
     forward,
     inverse,
-    pointwise_mul,
     require_finite,
     require_unit_constant,
 )
@@ -72,7 +71,7 @@ def recip_block_iter(
     for k in range(1, s):
         resid = product_block(f_cache, inv_cache, k, ledger)
         resid_spec = forward(resid, 2 * m, ledger)
-        upd = inverse(pointwise_mul(g0_spec, resid_spec), ledger)
+        upd = inverse(g0_spec * resid_spec, ledger)
         inv_low.append(-upd[:m])
         inv_cache.ensure(k, ledger)
 

@@ -24,7 +24,6 @@ from .transform import (
     as_series,
     forward,
     inverse,
-    pointwise_mul,
     require_finite,
     require_unit_constant,
 )
@@ -76,7 +75,7 @@ def _sqrt_blocks(
         defect = f.blocks[k] - excess
         defect_spec = forward(defect, 2 * m, ledger)
         # g0_inv * defect has degree < 2m - 1, so the cyclic product is exact.
-        upd = inverse(pointwise_mul(inv_spec, defect_spec), ledger)
+        upd = inverse(inv_spec * defect_spec, ledger)
         root.append(0.5 * upd[:m])
     return root, cache
 

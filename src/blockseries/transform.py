@@ -13,13 +13,12 @@ spectrum: bin n-k is the conjugate of bin k, bin 0 is real, and so is bin n/2
 for even n.  An exactly Hermitian spectrum (tested by exact equality) always
 gives an exactly real output.  Pointwise products, sums and real scalings
 preserve that symmetry bit for bit, so series built from real blocks stay
-real through any chain of transforms without a flag.  At even lengths
-n >= REAL_MIN_LENGTH the real path costs one complex transform of length n/2
-plus an O(n) untangling step with cached read-only tables (Sorensen, Jones,
-Heideman, Burrus, IEEE TASSP 1987); shorter and odd lengths run the
-full-length transform and then mirror the spectrum (forward) or drop the
-imaginary part (inverse).  Complex input takes the full-length transform
-unchanged.
+real through any chain of transforms without a flag.  At even lengths the
+real path costs one complex transform of length n/2 plus an O(n) untangling
+step with cached read-only tables (Sorensen, Jones, Heideman, Burrus, IEEE
+TASSP 1987); odd lengths run the full-length transform and then mirror the
+spectrum (forward) or drop the imaginary part (inverse).  Complex input takes
+the full-length transform unchanged.
 
 Every forward/inverse call increments a caller-supplied TransformLedger, the
 instrument that makes transform-count assertions exact integers.  A ledger
@@ -119,12 +118,6 @@ _W3 = complex(-0.5, math.sqrt(3.0) / 2.0)
 # length -> (radix, twiddle table of shape (radix, length // radix)); entries
 # are immutable once created.
 _PLANS: dict[int, tuple[int, np.ndarray]] = {}
-
-# Shortest even length that the real path computes at half length.  In a
-# forward+inverse sweep of every supported even length 2..2^15 the half-length
-# path beat full length + mirror from 4 up (median time ratio 0.79-0.99 up to
-# 128, 0.38 at 2^15) and lost only at 2 (1.03); see CHANGES.md.
-REAL_MIN_LENGTH = 4
 
 # length -> (a, conj(a[:n/2])) with a[j] = (1 - i*w^j)/2, j = 0..n/2,
 # w = e^{2*pi*i/n}: the untangling tables of the half-length real path.
@@ -275,10 +268,6 @@ def _is_hermitian(s: Spectrum) -> bool:
     return s.imag[0] == 0 and not np.count_nonzero(s[1 : h + 1] != np.conj(s[: -h - 1 : -1]))
 
 
-def _half_length(n: int) -> bool:
-    return n % 2 == 0 and n >= REAL_MIN_LENGTH
-
-
 def as_series(f) -> Poly:
     """Coerce to a 1-D complex128 coefficient vector."""
     f = np.asarray(f, dtype=np.complex128)
@@ -312,7 +301,7 @@ def forward(p, n: int, ledger: TransformLedger) -> Spectrum:
     if len(p) and not np.isfinite(p).all():
         raise ValueError(f"non-finite value in a length-{n} transform input")
     real = not np.count_nonzero(p.imag)  # as p.imag.any(), at a third of the cost
-    if real and _half_length(n):
+    if real and n % 2 == 0:
         out = _forward_half(p.real, n)
     else:
         x = np.zeros(n, dtype=np.complex128)
@@ -331,7 +320,7 @@ def inverse(s, ledger: TransformLedger) -> Poly:
     if not is_supported(n):
         raise UnsupportedLengthError(f"transform length {n} is not 2^a * 3^b")
     real = _is_hermitian(s)
-    if real and _half_length(n):
+    if real and n % 2 == 0:
         out = _inverse_half(s).astype(np.complex128)
     else:
         out = np.conj(_dft(np.conj(s).reshape(1, n))[0]) / n
@@ -339,35 +328,3 @@ def inverse(s, ledger: TransformLedger) -> Poly:
             out.imag = 0.0
     ledger.record_inverse(n)
     return out
-
-
-def pointwise_mul(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Componentwise product of two equal-length spectra; no ledger change."""
-    if len(a) != len(b):
-        raise ValueError(f"spectrum length mismatch: {len(a)} vs {len(b)}")
-    return a * b
-
-
-def cyclic_convolution(g1, g2, n: int, ledger: TransformLedger) -> Poly:
-    """g1 * g2 mod x^n - 1, costing exactly 2 forward + 1 inverse transforms."""
-    s1 = forward(g1, n, ledger)
-    s2 = forward(g2, n, ledger)
-    return inverse(pointwise_mul(s1, s2), ledger)
-
-
-def middle_product(g, h, n: int, ledger: TransformLedger) -> Poly:
-    """Coefficients n..2n-1 of g*h, for deg g < 2n and deg h < n.
-
-    Computed as the second half of a length-2n cyclic convolution (the
-    wrapped-around part of the product never lands in that window), costing
-    2 forward + 1 inverse transforms of length 2n.
-    """
-    g = as_series(g)
-    h = as_series(h)
-    if len(g) > 2 * n:
-        raise ValueError(f"first factor length {len(g)} exceeds 2n = {2 * n}")
-    if len(h) > n:
-        raise ValueError(f"second factor length {len(h)} exceeds n = {n}")
-    s1 = forward(g, 2 * n, ledger)
-    s2 = forward(h, 2 * n, ledger)
-    return inverse(pointwise_mul(s1, s2), ledger)[n:]

@@ -11,7 +11,6 @@ from blockseries import (
     combined_block,
     decompose,
     forward,
-    middle_product,
     product_block,
 )
 from blockseries import oracle
@@ -148,21 +147,6 @@ class TestProductBlock:
             got = product_block(fc, gc, k, led)
             want = schoolbook_block(f, g, k, m)
             assert np.abs(got - want).max() <= 1e-9
-
-    def test_block_zero_is_middle_product(self):
-        rng = np.random.default_rng(7)
-        m = 4
-        f0 = rng.uniform(-1, 1, m)
-        g0 = rng.uniform(-1, 1, m)
-        led = TransformLedger()
-        fc, gc = warm(f0, g0, m, 1, led)
-        got = product_block(fc, gc, 0, led)
-        # With the leading phantom block at zero, block 0 is the middle
-        # product of x^m * f0 against g0, which is the low half of f0*g0.
-        via_middle = middle_product(np.concatenate([np.zeros(m), f0]), g0, m, led)
-        want = schoolbook_block(f0, g0, 0, m)
-        np.testing.assert_allclose(got, via_middle, atol=1e-12)
-        assert np.abs(got - want).max() <= 1e-9
 
     def test_transform_economy(self):
         rng = np.random.default_rng(8)

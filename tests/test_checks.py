@@ -12,7 +12,6 @@ NAMES = [name for name, _ in checks.CHECKS]
 # real path enforces by symmetry whatever the twiddles), so a corrupted
 # twiddle passes them.
 SURVIVE_FAULT = {
-    "ledger-exactness",
     "sqrt-counts",
     "recip-counts",
     "third-order-identity",

@@ -149,6 +149,16 @@ class TestCompute:
         assert re.fullmatch(r"error: non-finite value in a length-\d+ transform input\n",
                             proc.stderr), proc.stderr
 
+    @pytest.mark.parametrize("coeffs, tok", [("1,,0.5", "''"), ("1, ,0.5", "' '"),
+                                             ("1,abc", "'abc'")],
+                             ids=["empty", "blank", "malformed"])
+    def test_bad_inline_token_exit_one(self, runner, coeffs, tok):
+        # Every token must parse: skipping one would silently shift the rest.
+        result = runner.invoke(main, ["compute", "recip", "--coeffs", coeffs, "--n", "3"])
+        assert result.exit_code == 1
+        assert result.stderr == ("error: --coeffs token 2: expected a real or "
+                                 f"complex number, got {tok}\n")
+
     def test_missing_n_exit_one(self, runner):
         result = runner.invoke(main, ["compute", "sqrt", "--coeffs", "1,1"])
         assert result.exit_code == 1

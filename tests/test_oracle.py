@@ -71,34 +71,10 @@ class TestRecipRecurrence:
             oracle.recip_recurrence([0.5, 1], 4)
 
 
-class TestMiddleProductNaive:
-    def test_example(self):
-        np.testing.assert_allclose(
-            oracle.middle_product_naive([1, 2, 3, 4], [5, 6], 2), [27, 38]
-        )
-
-    def test_zero_factor(self):
-        np.testing.assert_allclose(
-            oracle.middle_product_naive(np.zeros(8), np.ones(4), 4), np.zeros(4)
-        )
-
-    def test_identity_factor(self):
-        rng = np.random.default_rng(2)
-        n = 4
-        g = rng.uniform(-1, 1, 2 * n)
-        got = oracle.middle_product_naive(g, [1], n)
-        np.testing.assert_allclose(got, g[n : 2 * n])
-
-    def test_degree_bounds(self):
-        with pytest.raises(ValueError):
-            oracle.middle_product_naive(np.ones(5), np.ones(2), 2)
-
-
 def test_no_transforms_by_construction():
     # Independence from the FFT path: no oracle takes a ledger and the module
     # never imports the transform engine.
-    for name in ("mul_schoolbook", "sqrt_recurrence", "recip_recurrence",
-                 "middle_product_naive"):
+    for name in ("mul_schoolbook", "sqrt_recurrence", "recip_recurrence"):
         params = inspect.signature(getattr(oracle, name)).parameters
         assert "ledger" not in params
     src = inspect.getsource(oracle)

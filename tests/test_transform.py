@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from blockseries import (
     TransformLedger,
     UnsupportedLengthError,
-    cyclic_convolution,
     forward,
     inverse,
     is_supported,
-    middle_product,
     next_supported,
-    pointwise_mul,
     recip,
     recip_schonhage,
     sqrt,
@@ -128,7 +125,8 @@ class TestRoundTrip:
         assert np.abs(inverse(forward(p, n, led), led) - p).max() <= 1e-10
 
 
-# Odd and even lengths on both sides of REAL_MIN_LENGTH.
+# Every supported length up to 4096, odd (full length + mirror) and even
+# (half length), plus one long even length.
 REAL_LENGTHS = all_supported_up_to(4096) + [2**15]
 
 
@@ -148,9 +146,6 @@ def is_hermitian(s):
 
 
 class TestRealPath:
-    def test_lengths_straddle_threshold(self):
-        assert REAL_LENGTHS[0] < transform.REAL_MIN_LENGTH < REAL_LENGTHS[-1]
-
     @pytest.mark.parametrize("n", REAL_LENGTHS)
     def test_real_series(self, n):
         x = np.random.default_rng(n).uniform(-1, 1, n)
@@ -207,92 +202,19 @@ class TestTransformOfShift:
 
 
 class TestPointwise:
-    def test_basic(self):
-        np.testing.assert_allclose(
-            pointwise_mul(np.array([1, 1.0]), np.array([1, -1.0])), [1, -1]
-        )
-
-    def test_annihilator(self):
-        np.testing.assert_allclose(
-            pointwise_mul(np.array([2, 3.0]), np.zeros(2)), [0, 0]
-        )
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            pointwise_mul(np.ones(2), np.ones(3))
-
-    def test_convolution_theorem(self):
-        p, q = [1, 1, 0, 0], [1, 0, 1, 0]
-        led = TransformLedger()
-        lhs = pointwise_mul(forward(p, 4, led), forward(q, 4, led))
-        full = oracle.mul_schoolbook(p, q)
-        wrapped = full[:4].copy()
-        wrapped[: len(full) - 4] += full[4:]
-        rhs = forward(wrapped, 4, led)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-class TestCyclicConvolution:
-    def test_one_plus_x_squared(self):
-        got = cyclic_convolution([1, 1], [1, 1], 2, TransformLedger())
-        np.testing.assert_allclose(got, [2, 2], atol=1e-12)
-
-    def test_identity_factor(self):
-        rng = np.random.default_rng(2)
-        g2 = rng.uniform(-1, 1, 3)
-        got = cyclic_convolution([1, 0, 0, 0], g2, 4, TransformLedger())
-        np.testing.assert_allclose(got, np.append(g2, 0.0), atol=1e-12)
-
-    def test_x_times_x(self):
-        got = cyclic_convolution([0, 1], [0, 1], 2, TransformLedger())
-        np.testing.assert_allclose(got, [1, 0], atol=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 6, 16, 54, 96, 1024])
-    def test_matches_schoolbook_reduction(self, n):
+    @pytest.mark.parametrize("n", [2, 4, 6, 16, 54, 96, 1024])
+    def test_convolution_theorem(self, n):
+        # forward, * and inverse give the product modulo x^n - 1.
         rng = np.random.default_rng(n)
-        g1 = rng.uniform(-1, 1, n)
-        g2 = rng.uniform(-1, 1, n)
-        got = cyclic_convolution(g1, g2, n, TransformLedger())
-        full = oracle.mul_schoolbook(g1, g2)
+        p = rng.uniform(-1, 1, n)
+        q = rng.uniform(-1, 1, n)
+        led = TransformLedger()
+        got = inverse(forward(p, n, led) * forward(q, n, led), led)
+        full = oracle.mul_schoolbook(p, q)
         want = full[:n].copy()
         want[: n - 1] += full[n:]
-        tol = 1e-9 * n * max(1.0, np.abs(want).max())
-        assert np.abs(got - want).max() <= tol
-
-
-class TestMiddleProduct:
-    def test_example(self):
-        got = middle_product([1, 2, 3, 4], [5, 6], 2, TransformLedger())
-        np.testing.assert_allclose(got, [27, 38], atol=1e-10)
-
-    def test_shift_passes_through(self):
-        rng = np.random.default_rng(3)
-        n = 8
-        h = rng.uniform(-1, 1, n)
-        g = np.zeros(2 * n)
-        g[n] = 1.0
-        got = middle_product(g, h, n, TransformLedger())
-        np.testing.assert_allclose(got, h, atol=1e-12)
-
-    def test_zero_factor(self):
-        got = middle_product(np.zeros(8), np.ones(4), 4, TransformLedger())
-        np.testing.assert_allclose(got, np.zeros(4), atol=1e-15)
-
-    @pytest.mark.parametrize("n", all_supported_up_to(2**12))
-    def test_matches_naive(self, n):
-        rng = np.random.default_rng(n)
-        g = rng.uniform(-1, 1, 2 * n)
-        h = rng.uniform(-1, 1, n)
-        got = middle_product(g, h, n, TransformLedger())
-        want = oracle.middle_product_naive(g, h, n)
-        tol = 1e-9 * n * max(1.0, np.abs(want).max())
-        assert np.abs(got - want).max() <= tol
-
-    def test_degree_bounds(self):
-        with pytest.raises(ValueError):
-            middle_product(np.ones(5), np.ones(2), 2, TransformLedger())
-        with pytest.raises(ValueError):
-            middle_product(np.ones(4), np.ones(3), 2, TransformLedger())
+        assert dict(led.forward) == {n: 2} and dict(led.inverse) == {n: 1}
+        assert np.abs(got - want).max() <= 1e-9 * n * max(1.0, np.abs(want).max())
 
 
 class TestSupportedSizes:
