@@ -117,7 +117,7 @@ def transform_identities(full: bool) -> str:
                     f"max identity error {max(errs):.3e}, sizes ok {ok_sizes}")
 
 
-def cyclic_convolution_check(full: bool) -> str:
+def convolution_theorem(full: bool) -> str:
     """The convolution theorem: inverse(forward(g1) * forward(g2)) is g1*g2 mod x^n - 1."""
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -441,7 +441,7 @@ def determinism(full: bool) -> str:
 CHECKS = [
     ("transform-roundtrip", transform_roundtrip),
     ("transform-identities", transform_identities),
-    ("cyclic-convolution", cyclic_convolution_check),
+    ("cyclic-convolution", convolution_theorem),
     ("block-products", block_products),
     ("sqrt-counts", sqrt_counts),
     ("recip-counts", recip_counts),
