@@ -201,20 +201,86 @@ class TestTransformOfShift:
         assert np.abs(got - expect).max() <= 1e-12
 
 
+def cyclic(g1, g2, n, led):
+    """g1 * g2 mod x^n - 1 through forward, * and inverse."""
+    return inverse(forward(g1, n, led) * forward(g2, n, led), led)
+
+
+def middle(g, h, n, led):
+    """Coefficients n..2n-1 of g*h, for len(g) <= 2n and len(h) <= n: the top
+    half of a length-2n cyclic product, which the wrap-around never reaches."""
+    return cyclic(g, h, 2 * n, led)[n:]
+
+
 class TestPointwise:
-    @pytest.mark.parametrize("n", [2, 4, 6, 16, 54, 96, 1024])
-    def test_convolution_theorem(self, n):
-        # forward, * and inverse give the product modulo x^n - 1.
-        rng = np.random.default_rng(n)
-        p = rng.uniform(-1, 1, n)
-        q = rng.uniform(-1, 1, n)
+    def test_convolution_theorem(self):
+        p, q = [1, 1, 0, 0], [1, 0, 1, 0]
         led = TransformLedger()
-        got = inverse(forward(p, n, led) * forward(q, n, led), led)
+        lhs = forward(p, 4, led) * forward(q, 4, led)
         full = oracle.mul_schoolbook(p, q)
+        wrapped = full[:4].copy()
+        wrapped[: len(full) - 4] += full[4:]
+        rhs = forward(wrapped, 4, led)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+class TestCyclicConvolution:
+    def test_one_plus_x_squared(self):
+        got = cyclic([1, 1], [1, 1], 2, TransformLedger())
+        np.testing.assert_allclose(got, [2, 2], atol=1e-12)
+
+    def test_identity_factor(self):
+        rng = np.random.default_rng(2)
+        g2 = rng.uniform(-1, 1, 3)
+        got = cyclic([1, 0, 0, 0], g2, 4, TransformLedger())
+        np.testing.assert_allclose(got, np.append(g2, 0.0), atol=1e-12)
+
+    def test_x_times_x(self):
+        got = cyclic([0, 1], [0, 1], 2, TransformLedger())
+        np.testing.assert_allclose(got, [1, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 6, 16, 54, 96, 1024])
+    def test_matches_schoolbook_reduction(self, n):
+        rng = np.random.default_rng(n)
+        g1 = rng.uniform(-1, 1, n)
+        g2 = rng.uniform(-1, 1, n)
+        led = TransformLedger()
+        got = cyclic(g1, g2, n, led)
+        full = oracle.mul_schoolbook(g1, g2)
         want = full[:n].copy()
         want[: n - 1] += full[n:]
         assert dict(led.forward) == {n: 2} and dict(led.inverse) == {n: 1}
-        assert np.abs(got - want).max() <= 1e-9 * n * max(1.0, np.abs(want).max())
+        tol = 1e-9 * n * max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= tol
+
+
+class TestMiddleProduct:
+    def test_example(self):
+        got = middle([1, 2, 3, 4], [5, 6], 2, TransformLedger())
+        np.testing.assert_allclose(got, [27, 38], atol=1e-10)
+
+    def test_shift_passes_through(self):
+        rng = np.random.default_rng(3)
+        n = 8
+        h = rng.uniform(-1, 1, n)
+        g = np.zeros(2 * n)
+        g[n] = 1.0
+        got = middle(g, h, n, TransformLedger())
+        np.testing.assert_allclose(got, h, atol=1e-12)
+
+    def test_zero_factor(self):
+        got = middle(np.zeros(8), np.ones(4), 4, TransformLedger())
+        np.testing.assert_allclose(got, np.zeros(4), atol=1e-15)
+
+    @pytest.mark.parametrize("n", all_supported_up_to(2**12))
+    def test_matches_naive(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.uniform(-1, 1, 2 * n)
+        h = rng.uniform(-1, 1, n)
+        got = middle(g, h, n, TransformLedger())
+        want = oracle.mul_schoolbook(g, h)[n : 2 * n]
+        tol = 1e-9 * n * max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= tol
 
 
 class TestSupportedSizes:
