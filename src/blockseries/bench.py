@@ -1,9 +1,10 @@
-"""Benchmark records: transform counts, weighted costs, and wall times.
+"""Benchmark records: transform counts, weighted costs and oracle errors.
 
-The interesting fields are machine-independent: the per-length transform
-counts reproduce the 4r-3 / 13s-3 totals exactly, and weighted_cost sums
-length * log2(length) over them, which stands in for time in a way that can
-be compared across machines.  Only wall_ns varies between runs.
+Every field is a pure function of (op, n, blocks, seed): the per-length
+transform counts reproduce the 4r-3 / 13s-3 totals exactly, and
+weighted_cost sums length * log2(length) over them, which stands in for time
+in a way that can be compared across machines.  Wall time is measured by
+perfbench, not here.
 
 OPS is the one table of operations: each name's entry point, plan, seeded
 input, oracle and paper count.  The CLI and the invariant checks read it too.
@@ -13,9 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -108,33 +108,12 @@ class BenchRecord:
     base_cost: float
     cost_ratio: float | None
     cost_ratio_expected: float | None
-    wall_ns: int
     max_error: float | None
     rng: str
     seed: int
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, line: str) -> "BenchRecord":
-        raw = json.loads(line)
-        # JSON object keys are strings; count tables are keyed by length.
-        raw["forward"] = {int(k): v for k, v in raw["forward"].items()}
-        raw["inverse"] = {int(k): v for k, v in raw["inverse"].items()}
-        return cls(**raw)
-
-    def to_csv_row(self) -> list[str]:
-        return [_csv_cell(getattr(self, name)) for name in CSV_FIELDS]
-
-
-CSV_FIELDS = [f.name for f in fields(BenchRecord)]
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return format_counts(value) if isinstance(value, dict) else str(value)
 
 
 def _transform_cost(length: int) -> float:
@@ -147,16 +126,14 @@ def run_case(
     blocks: int | None = None,
     seed: int = 0,
 ) -> BenchRecord:
-    """Run one operation and collect its counts, costs, and timing."""
+    """Run one operation and collect its counts, costs and oracle error."""
     if op not in OPS:
         raise ValueError(f"unknown op {op!r}")
     spec = OPS[op]
     ledger = TransformLedger()
     base = TransformLedger()
     f = spec.make_input(seed, n)
-    t0 = time.perf_counter_ns()
     out = spec.run(spec.fn, f, n, ledger, blocks, base)
-    wall = time.perf_counter_ns() - t0
 
     k = m = ratio = expected = None
     if spec.plan is not None:
@@ -177,7 +154,6 @@ def run_case(
         base_cost=base.weighted_cost(),
         cost_ratio=ratio,
         cost_ratio_expected=expected,
-        wall_ns=wall,
         max_error=spec.error(f, n, out) if n <= ORACLE_CUTOFF else None,
         rng=RNG_NAME,
         seed=seed,

@@ -1,15 +1,14 @@
 """Command-line interface: compute, bench, and selftest.
 
 Coefficient files are plain text, one coefficient per line as `re` or
-`re im`, with `#` starting a comment.  Bench emits newline-delimited JSON or
-CSV, one record per (n, blocks) combination plus a classical baseline row
-per n.  Exit codes: 0 success, 1 failure, 2 usage error.
+`re im`, with `#` starting a comment.  Bench emits newline-delimited JSON,
+one deterministic count record per (n, blocks) combination plus a classical
+baseline row per n.  Exit codes: 0 success, 1 failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import sys
 import time
 
@@ -17,7 +16,7 @@ import click
 import numpy as np
 
 from . import transform
-from .bench import BLOCKWISE_OPS, CSV_FIELDS, OPS, format_counts, run_bench
+from .bench import BLOCKWISE_OPS, OPS, format_counts, run_bench
 from .recip import recip  # noqa: F401  (compute calls the entry points by name)
 from .sqrt import sqrt, sqrt_rem  # noqa: F401
 from .transform import TransformLedger
@@ -82,11 +81,15 @@ def _counts(table) -> str:
     return format_counts(table) or "-"
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_int_token(tok: str, pos: int, what: str) -> int:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return int(tok)
     except ValueError:
-        raise click.UsageError(f"bad {what} list: {text!r}")
+        raise click.UsageError(f"{what} token {pos}: expected an integer, got {tok!r}")
+
+
+def _parse_int_list(text: str, what: str) -> list[int]:
+    return [_parse_int_token(tok, pos, what) for pos, tok in enumerate(text.split(","), 1)]
 
 
 @click.group()
@@ -172,13 +175,14 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
 @click.option("--n", "ns", required=True, help="Comma-separated list of precisions.")
 @click.option("--blocks", "blocks_list", help="Comma-separated block counts (default: auto).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-              show_default=True)
 @click.option("--no-baselines", is_flag=True, help="Skip the classical comparison rows.")
-def bench(op, ns, blocks_list, seed, fmt, no_baselines):
-    """Measure transform counts, weighted costs, and wall times."""
+def bench(op, ns, blocks_list, seed, no_baselines):
+    """Print transform counts, weighted costs and oracle errors as JSON lines.
+
+    Every field is deterministic; wall time is measured by perfbench.
+    """
     n_values = _parse_int_list(ns, "--n")
-    blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list else [None]
+    blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list is not None else [None]
     try:
         records = run_bench(
             op, n_values, blocks_values, seed=seed, include_baselines=not no_baselines
@@ -186,14 +190,8 @@ def bench(op, ns, blocks_list, seed, fmt, no_baselines):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    if fmt == "json":
-        for rec in records:
-            click.echo(rec.to_json())
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for rec in records:
-            writer.writerow(rec.to_csv_row())
+    for rec in records:
+        click.echo(rec.to_json())
 
 
 @main.command()

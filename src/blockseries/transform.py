@@ -22,8 +22,7 @@ the full-length transform unchanged.
 
 Every forward/inverse call increments a caller-supplied TransformLedger, the
 instrument that makes transform-count assertions exact integers.  A ledger
-must not be shared between concurrently running operations; use one per task
-and merge afterwards.
+must not be shared between concurrently running operations; use one per task.
 """
 
 from __future__ import annotations
@@ -67,10 +66,6 @@ class TransformLedger:
     def delta(self, snap: tuple[Counter, Counter]) -> tuple[Counter, Counter]:
         """Counts added since ``snap`` (counts never decrease)."""
         return self.forward - snap[0], self.inverse - snap[1]
-
-    def merge(self, other: "TransformLedger") -> None:
-        self.forward.update(other.forward)
-        self.inverse.update(other.inverse)
 
     def weighted_cost(self) -> float:
         """Sum of length * log2(length) over all recorded transforms."""

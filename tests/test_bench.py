@@ -1,28 +1,9 @@
-import dataclasses
-
-from blockseries.bench import CSV_FIELDS, BenchRecord, run_bench, run_case
+from blockseries.bench import run_bench, run_case
 
 
 class TestRecords:
-    def test_json_roundtrip(self):
-        rec = run_case("sqrt", 256, blocks=4, seed=3)
-        again = BenchRecord.from_json(rec.to_json())
-        assert again == rec
-
-    def test_csv_shape(self):
-        rec = run_case("recip", 96, blocks=2, seed=1)
-        row = rec.to_csv_row()
-        assert len(row) == len(CSV_FIELDS)
-        assert row[0] == "recip"
-
     def test_count_fields_deterministic(self):
-        a = run_case("recip", 384, blocks=2, seed=5)
-        b = run_case("recip", 384, blocks=2, seed=5)
-        da = dataclasses.asdict(a)
-        db = dataclasses.asdict(b)
-        da.pop("wall_ns")
-        db.pop("wall_ns")
-        assert da == db
+        assert run_case("recip", 384, blocks=2, seed=5) == run_case("recip", 384, blocks=2, seed=5)
 
     def test_sqrt_counts_and_ratio(self):
         rec = run_case("sqrt", 512, blocks=4, seed=0)

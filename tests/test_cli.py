@@ -208,9 +208,7 @@ class TestCompute:
 
 class TestBench:
     def test_json_records(self, runner):
-        result = runner.invoke(
-            main, ["bench", "sqrt", "--n", "64,128", "--blocks", "2", "--format", "json"]
-        )
+        result = runner.invoke(main, ["bench", "sqrt", "--n", "64,128", "--blocks", "2"])
         assert result.exit_code == 0
         records = [json.loads(line) for line in result.stdout.strip().splitlines()]
         assert [r["op"] for r in records] == [
@@ -221,23 +219,13 @@ class TestBench:
         assert json.loads(json.dumps(blockwise)) == blockwise
 
     def test_counts_stable_across_runs(self, runner):
-        args = ["bench", "recip", "--n", "96", "--blocks", "2", "--format", "json"]
-        a = [json.loads(x) for x in runner.invoke(main, args).stdout.strip().splitlines()]
-        b = [json.loads(x) for x in runner.invoke(main, args).stdout.strip().splitlines()]
-        for ra, rb in zip(a, b):
-            ra.pop("wall_ns")
-            rb.pop("wall_ns")
-            assert ra == rb
-
-    def test_csv_header(self, runner):
-        result = runner.invoke(main, ["bench", "recip", "--n", "96", "--format", "csv"])
-        assert result.exit_code == 0
-        lines = result.stdout.strip().splitlines()
-        assert lines[0].startswith("op,n,blocks,block_size,forward,inverse")
-        assert len(lines) == 3  # header + recip row + baseline row
+        args = ["bench", "recip", "--n", "96", "--blocks", "2"]
+        a, b = runner.invoke(main, args), runner.invoke(main, args)
+        assert a.exit_code == b.exit_code == 0
+        assert a.stdout == b.stdout
 
     def test_sqrt_at_2_15(self, runner):
-        result = runner.invoke(main, ["bench", "sqrt", "--n", "32768", "--format", "json"])
+        result = runner.invoke(main, ["bench", "sqrt", "--n", "32768"])
         assert result.exit_code == 0, result.output
         records = [json.loads(line) for line in result.stdout.strip().splitlines()]
         assert [r["op"] for r in records] == ["sqrt", "sqrt_newton_coupled"]
@@ -247,6 +235,24 @@ class TestBench:
     def test_bad_list_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "sqrt", "--n", "64;128"])
         assert result.exit_code == 2
+        assert "--n token 1: expected an integer, got '64;128'" in result.stderr
+
+    @pytest.mark.parametrize("option, text, pos", [
+        ("--n", "64,,128", 2), ("--n", "64,", 2), ("--n", "", 1), ("--blocks", ",", 1),
+    ], ids=["inner", "trailing", "empty-list", "blocks-comma"])
+    def test_empty_list_token_usage_error(self, runner, option, text, pos):
+        # Every token must parse: skipping one would silently drop a case.
+        args = ["--n", "64", option, text] if option == "--blocks" else [option, text]
+        result = runner.invoke(main, ["bench", "sqrt", *args, "--no-baselines"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"{option} token {pos}: expected an integer, got ''" in result.stderr
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_format_option_gone(self, runner, fmt):
+        result = runner.invoke(main, ["bench", "sqrt", "--n", "64", "--format", fmt])
+        assert result.exit_code == 2
+        assert "No such option '--format'" in result.stderr
 
 
 class TestSelftest:
