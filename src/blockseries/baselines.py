@@ -1,7 +1,17 @@
-"""Classical doubling algorithms: base-case providers and benchmark comparators."""
+"""Classical doubling algorithms: base-case providers and benchmark comparators.
+
+Both routines double the precision k -> min(2k, n) with wrapped products, so
+each step costs two forward transforms and one inverse at a length of about
+3k (reciprocal) or 4k (square root); see Bernstein, "Removing redundancy in
+high-precision Newton iteration" (2004), and Hanrot and Zimmermann, "Newton
+iteration revisited" (2004).  Each routine has a companion ``*_transforms(n)``
+that returns the exact per-length transform counts of its schedule, which the
+planner prices and the tests hold against the ledger.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 
 import numpy as np
@@ -16,26 +26,43 @@ from .transform import (
     require_unit_constant,
 )
 
-# Transform-length spans (a, b) of the doubling steps, L = next_supported(a*k + b*k2),
-# and the transforms each step performs.
-RECIP_SPAN = (3, 0)  # g^2 * f wrapped modulo x^L - 1 is exact above index k
-RECIP_STEP_TRANSFORMS = 3  # 2 forward + 1 inverse
-SQRT_SPAN = (2, 1)  # f * v^2 has degree < 2k + k2 - 2
-SQRT_STEP_TRANSFORMS = 10  # 6 forward + 4 inverse
 
-
-def doubling_schedule(n: int, span: tuple[int, int]) -> Iterator[tuple[int, int, int]]:
-    """Steps (k, k2, length) of a doubling iteration from precision 1 to n.
-
-    Each step extends the precision from k to k2 = min(2k, n) with transforms
-    of length next_supported(a*k + b*k2), where span = (a, b).
-    """
-    a, b = span
+def _doubling_steps(n: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """Steps (k, k2, length) from precision 1 to n: k2 = min(2k, n) and the
+    step's transforms have length next_supported(a*k + b*k2)."""
     k = 1
     while k < n:
         k2 = min(2 * k, n)
         yield k, k2, next_supported(a * k + b * k2)
         k = k2
+
+
+def _recip_steps(n: int) -> Iterator[tuple[int, int, int]]:
+    return _doubling_steps(n, 3, 0)  # f*g^2 wraps only below index k
+
+
+def _rsqrt_steps(n: int) -> Iterator[tuple[int, int, int]]:
+    return _doubling_steps(n, 2, 1)  # f*v^3 wraps only below index k
+
+
+def _prepare(f, n: int) -> np.ndarray:
+    """Validated input, truncated or zero-padded to n coefficients."""
+    f = as_series(f)
+    require_finite(f)
+    require_unit_constant(f)
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    fx = np.zeros(n, dtype=np.complex128)
+    fx[: min(len(f), n)] = f[:n]
+    return fx
+
+
+def recip_schonhage_transforms(n: int) -> Counter:
+    """Transforms per length that recip_schonhage(f, n) performs."""
+    counts = Counter()
+    for _, _, length in _recip_steps(n):
+        counts[length] += 3
+    return counts
 
 
 def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
@@ -47,15 +74,9 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
     of the product only lands below index k, where the result is already
     known, so indices k..2k-1 come out exact.
     """
-    f = as_series(f)
-    require_finite(f)
-    require_unit_constant(f)
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    fx = np.zeros(n, dtype=np.complex128)
-    fx[: min(len(f), n)] = f[:n]
+    fx = _prepare(f, n)
     g = np.ones(1, dtype=np.complex128)
-    for k, k2, length in doubling_schedule(n, RECIP_SPAN):
+    for k, k2, length in _recip_steps(n):
         fs = forward(fx[:k2], length, ledger)
         gs = forward(g, length, ledger)
         prod = inverse(gs * gs * fs, ledger)
@@ -66,37 +87,43 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
     return g
 
 
-def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray, np.ndarray]:
-    """Series square root and reciprocal square root, extended together.
+def sqrt_newton_coupled_transforms(n: int) -> Counter:
+    """Transforms per length that sqrt_newton_coupled(f, n) performs."""
+    counts = Counter()
+    for _, _, length in _rsqrt_steps(n):
+        counts[length] += 3
+    if n > 1:
+        counts[next_supported(2 * n - 1)] += 3
+    return counts
 
-    Per doubling step the reciprocal root v is extended first with
-    v' = v * (3 - f*v^2) / 2, then the root with g' = g + (f - g^2) * v' / 2.
-    Returns (g, v) with g^2 = f and g*v = 1 to order n.  Used as the base
-    case provider for the blockwise square root, which needs both values.
+
+def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray, np.ndarray]:
+    """Series square root g and its reciprocal v = 1/g, to n coefficients.
+
+    Newton doubling on the reciprocal square root, v' = v * (3 - f*v^2) / 2.
+    With v exact to k coefficients, v' agrees with v below k, and above k it
+    is -(f*v^3)/2.  Each step k -> k2 = min(2k, n) therefore evaluates
+    f[:k2] * v^3 modulo x^L - 1 with L = next_supported(2k + k2): one forward
+    transform each of the f slice and of v (the cube is free in the spectral
+    domain) and one inverse.  The product has degree < k2 + 3k - 3, so its
+    wrapped-around part lands below index k and indices k..k2-1 are exact.
+    A last full product g = f*v to n coefficients costs two forward
+    transforms and one inverse at next_supported(2n - 1).  Returns (g, v)
+    with g^2 = f and g*v = 1 to order n; the blockwise square root takes
+    both from its base case.
     """
-    f = as_series(f)
-    require_finite(f)
-    require_unit_constant(f)
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    fx = np.zeros(n, dtype=np.complex128)
-    fx[: min(len(f), n)] = f[:n]
-    g = np.ones(1, dtype=np.complex128)
+    fx = _prepare(f, n)
     v = np.ones(1, dtype=np.complex128)
-    for k, k2, length in doubling_schedule(n, SQRT_SPAN):
+    if n == 1:
+        return v, v.copy()
+    for k, k2, length in _rsqrt_steps(n):
         fs = forward(fx[:k2], length, ledger)
         vs = forward(v, length, ledger)
-        fv2 = inverse(vs * vs * fs, ledger)[:k2]
-        e = -0.5 * fv2
-        e[0] += 1.5
-        es = forward(e, length, ledger)
-        v = inverse(vs * es, ledger)[:k2]
-        gs = forward(g, length, ledger)
-        g2 = inverse(gs * gs, ledger)[:k2]
-        rs = forward(fx[:k2] - g2, length, ledger)
-        vs2 = forward(v, length, ledger)
-        upd = inverse(rs * vs2, ledger)[:k2]
-        newg = 0.5 * upd
-        newg[:k] += g
-        g = newg
+        w = inverse(fs * (vs * vs * vs), ledger)
+        newv = np.empty(k2, dtype=np.complex128)
+        newv[:k] = v
+        newv[k:] = -0.5 * w[k:k2]
+        v = newv
+    length = next_supported(2 * n - 1)
+    g = inverse(forward(fx, length, ledger) * forward(v, length, ledger), ledger)[:n]
     return g, v

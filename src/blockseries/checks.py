@@ -411,21 +411,22 @@ def real_input(full: bool) -> str:
 
 
 def cost_crossover(full: bool) -> str:
-    """Blockwise reciprocal (base case included) beats doubling in weighted
-    cost; both ops' cost ratios are within 5% of the paper's count ratios."""
+    """Blockwise square root and reciprocal (base case included) beat their
+    doubling comparators in weighted cost; both ops' cost ratios are within
+    5% of the paper's count ratios."""
     m = 256
     rows = []
     for k in range(4, 9) if full else [4, 6]:
-        rec = run_case("recip", 3 * k * m, blocks=k, seed=1)
-        sch = run_case("recip_schonhage", 3 * k * m, seed=1)
-        total = rec.weighted_cost + rec.base_cost
-        _require(total < sch.weighted_cost,
-                 f"s={k}: blockwise {total:.0f} >= doubling {sch.weighted_cost:.0f}")
-        for case in (rec, run_case("sqrt", k * m, blocks=k, seed=1)):
+        for op, n in (("sqrt", k * m), ("recip", 3 * k * m)):
+            case = run_case(op, n, blocks=k, seed=1)
+            doubling = run_case(OPS[op].baseline, n, seed=1).weighted_cost
+            total = case.weighted_cost + case.base_cost
+            _require(total < doubling,
+                     f"{op} k={k}: blockwise {total:.0f} >= doubling {doubling:.0f}")
             ratio, expected = case.cost_ratio, case.cost_ratio_expected
             _require(abs(ratio - expected) <= 0.05 * expected,
-                     f"{case.op} k={k}: cost ratio {ratio:.4f}, expected {expected:.4f}")
-        rows.append(f"s={k}: {total:.0f} < {sch.weighted_cost:.0f}")
+                     f"{op} k={k}: cost ratio {ratio:.4f}, expected {expected:.4f}")
+            rows.append(f"{op} k={k}: {total:.0f} < {doubling:.0f}")
     return "; ".join(rows)
 
 

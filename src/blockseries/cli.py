@@ -92,6 +92,13 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return [_parse_int_token(tok, pos, what) for pos, tok in enumerate(text.split(","), 1)]
 
 
+def _require_half_degree(op: str, ns: list[int]) -> None:
+    """A seeded sqrtrem input has degree 2n, so its --n must be >= 1."""
+    bad = [n for n in ns if n < 1] if op == "sqrtrem" else []
+    if bad:
+        raise click.UsageError(f"--n must be >= 1 for sqrtrem (the half-degree), got {bad[0]}")
+
+
 @click.group()
 @click.version_option(package_name="blockseries")
 def main():
@@ -109,7 +116,7 @@ def main():
               help="Output precision; for sqrtrem the half-degree of a --random input.")
 @click.option("--blocks", type=int,
               help="Fix the block count (r or s); the block size follows from it.")
-@click.option("--seed", type=int, help="Seed for --random.  [default: 0]")
+@click.option("--seed", type=click.IntRange(min=0), help="Seed for --random.  [default: 0]")
 @click.option("--out", type=click.Path(dir_okay=False),
               help="Write the result here (sqrtrem also writes <out>.rem).")
 def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
@@ -122,6 +129,8 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
     if op == "sqrtrem" and n is not None and not random_input:
         raise click.UsageError("sqrtrem takes --n only with --random; "
                                "otherwise the degree comes from the input")
+    if n is not None:
+        _require_half_degree(op, [n])
     spec = OPS[op]
     try:
         if random_input:
@@ -174,7 +183,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
 @click.argument("op", type=click.Choice(BLOCKWISE_OPS))
 @click.option("--n", "ns", required=True, help="Comma-separated list of precisions.")
 @click.option("--blocks", "blocks_list", help="Comma-separated block counts (default: auto).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--no-baselines", is_flag=True, help="Skip the classical comparison rows.")
 def bench(op, ns, blocks_list, seed, no_baselines):
     """Print transform counts, weighted costs and oracle errors as JSON lines.
@@ -182,6 +191,7 @@ def bench(op, ns, blocks_list, seed, no_baselines):
     Every field is deterministic; wall time is measured by perfbench.
     """
     n_values = _parse_int_list(ns, "--n")
+    _require_half_degree(op, n_values)
     blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list is not None else [None]
     try:
         records = run_bench(

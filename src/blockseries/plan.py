@@ -8,7 +8,8 @@ unit of k: 1 for the square root (r = k blocks), 3 for the reciprocal
 * its main transforms, exactly 4k - 3 (square root) or 13k - 3 (reciprocal)
   of length 2m, each with a fixed glue cost;
 * every transform of its length-m doubling base case, each at its own
-  length, read from the schedule that the base case itself runs;
+  length, from the per-length counts that the base case's companion
+  ``baselines.*_transforms(m)`` returns for the schedule it runs;
 * the spectral accumulation between transforms: k(k-1)/2 (square root) or
   k(9k+1)/2 (reciprocal) multiply-adds of length-2m spectra, which grows
   like k * n.
@@ -22,6 +23,7 @@ plan's own block count returns that plan.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,8 +72,7 @@ class Scheme:
     max_blocks: int
     transforms: Callable[[int], tuple[int, int]]  # (forward, inverse) of length 2m
     accumulate_passes: Callable[[int], int]
-    base_span: tuple[int, int]
-    base_step_transforms: int
+    base_transforms: Callable[[int], Counter]  # base case's transforms per length
 
 
 SQRT = Scheme(
@@ -79,16 +80,14 @@ SQRT = Scheme(
     max_blocks=32,
     transforms=lambda r: (2 * r - 1, 2 * r - 2),
     accumulate_passes=lambda r: r * (r - 1) // 2,
-    base_span=baselines.SQRT_SPAN,
-    base_step_transforms=baselines.SQRT_STEP_TRANSFORMS,
+    base_transforms=baselines.sqrt_newton_coupled_transforms,
 )
 RECIP = Scheme(
     unit=3,
     max_blocks=16,
     transforms=lambda s: (7 * s - 1, 6 * s - 2),
     accumulate_passes=lambda s: s * (9 * s + 1) // 2,
-    base_span=baselines.RECIP_SPAN,
-    base_step_transforms=baselines.RECIP_STEP_TRANSFORMS,
+    base_transforms=baselines.recip_schonhage_transforms,
 )
 
 
@@ -108,8 +107,7 @@ def transform_ns(length: int) -> float:
 @lru_cache(maxsize=BASE_CACHE_SIZE)
 def base_case_ns(scheme: Scheme, m: int) -> float:
     """Predicted transform time of the length-m doubling base case."""
-    steps = baselines.doubling_schedule(m, scheme.base_span)
-    return scheme.base_step_transforms * sum(transform_ns(length) for _, _, length in steps)
+    return sum(c * transform_ns(length) for length, c in scheme.base_transforms(m).items())
 
 
 def block_size(scheme: Scheme, n: int, blocks: int) -> int:

@@ -1,9 +1,36 @@
+import math
+
 import numpy as np
 import pytest
 
-from blockseries import TransformLedger, recip_schonhage, sqrt_newton_coupled
+from blockseries import TransformLedger, next_supported, recip_schonhage, sqrt_newton_coupled
 from blockseries import oracle
 from blockseries.corpus import conditioned_series
+
+
+def sparse_dyadic_square(seed, n, terms=8):
+    """(f, g) with g = 1 + a few +-2^-10 x^j, j < n, and f = g^2 to n coefficients.
+
+    Every coefficient of g^2 is a short sum of dyadic numbers far from 2^52,
+    so f is exact in floating point and g is the exact square root.
+    """
+    rng = np.random.default_rng(seed)
+    pos = rng.choice(np.arange(1, n), terms, replace=False)
+    g = np.zeros(n)
+    g[0] = 1.0
+    g[pos] = rng.choice([-1.0, 1.0], terms) * 2.0**-10
+    f = np.zeros(n)
+    support = np.flatnonzero(g)
+    for i in support:
+        for j in support[support < n - i]:
+            f[i + j] += g[i] * g[j]
+    return f, g
+
+
+def np_product(a, b, keep):
+    """First `keep` coefficients of a*b by a ledger-free np.fft product."""
+    size = 2 * len(a) + 2 * len(b)
+    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:keep]
 
 
 class TestRecipSchonhage:
@@ -53,6 +80,36 @@ class TestSqrtNewtonCoupled:
         unit = oracle.mul_schoolbook(g, ginv)[:n]
         unit[0] -= 1.0
         assert np.abs(unit).max() <= 1e-8 * n
+
+    def test_known_answer_at_two_to_the_sixteen(self):
+        n = 2**16
+        f, want = sparse_dyadic_square(5, n)
+        g, ginv = sqrt_newton_coupled(f, n, TransformLedger())
+        assert np.abs(g - want).max() <= 1e-13
+        unit = np_product(g, ginv, n)
+        unit[0] -= 1.0
+        assert np.abs(unit).max() <= 1e-13
+
+    def test_three_transforms_per_level(self):
+        led = TransformLedger()
+        sqrt_newton_coupled(conditioned_series(1, 64), 64, led)
+        # levels 1->2->...->64 at length 4k: 2F + 1I each; then g = f*v at 128
+        assert led.forward == {4: 2, 8: 2, 16: 2, 32: 2, 64: 2, 128: 4}
+        assert led.inverse == {4: 1, 8: 1, 16: 1, 32: 1, 64: 1, 128: 2}
+
+    def test_unit_input_needs_no_transforms(self):
+        led = TransformLedger()
+        g, ginv = sqrt_newton_coupled([1, 5], 1, led)
+        assert list(g) == list(ginv) == [1]
+        assert led.total() == 0
+
+    @pytest.mark.parametrize("n", [2**10, 2**14, 2**16])
+    def test_costs_at_most_three_multiplications(self, n):
+        # M(n): three transforms of length next_supported(2n).
+        length = next_supported(2 * n)
+        led = TransformLedger()
+        sqrt_newton_coupled(conditioned_series(2, n), n, led)
+        assert led.weighted_cost() <= 3 * (3 * length * math.log2(length))
 
     def test_requires_unit_constant(self):
         for f in ([0, 1], [1 + 1e-12, 1]):

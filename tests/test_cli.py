@@ -255,6 +255,26 @@ class TestBench:
         assert "No such option '--format'" in result.stderr
 
 
+class TestOptionValues:
+    @pytest.mark.parametrize("args", [
+        ["bench", "sqrt", "--n", "64", "--seed", "-1"],
+        ["compute", "sqrt", "--random", "--seed", "-1", "--n", "8"],
+    ], ids=["bench", "compute"])
+    def test_negative_seed_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "'--seed': -1 is not in the range" in result.stderr
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    @pytest.mark.parametrize("cmd", [["bench", "sqrtrem"], ["compute", "sqrtrem", "--random"]],
+                             ids=["bench", "compute"])
+    def test_sqrtrem_half_degree_usage_error(self, runner, cmd, n):
+        result = runner.invoke(main, [*cmd, "--n", n])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"--n must be >= 1 for sqrtrem (the half-degree), got {n}" in result.stderr
+
+
 class TestSelftest:
     def test_quick_passes(self, runner):
         result = runner.invoke(main, ["selftest", "--quick"])
