@@ -45,18 +45,6 @@ def _rsqrt_steps(n: int) -> Iterator[tuple[int, int, int]]:
     return _doubling_steps(n, 2, 1)  # f*v^3 wraps only below index k
 
 
-def _prepare(f, n: int) -> np.ndarray:
-    """Validated input, truncated or zero-padded to n coefficients."""
-    f = as_series(f)
-    require_finite(f)
-    require_unit_constant(f)
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    fx = np.zeros(n, dtype=np.complex128)
-    fx[: min(len(f), n)] = f[:n]
-    return fx
-
-
 def recip_schonhage_transforms(n: int) -> Counter:
     """Transforms per length that recip_schonhage(f, n) performs."""
     counts = Counter()
@@ -74,7 +62,13 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
     of the product only lands below index k, where the result is already
     known, so indices k..2k-1 come out exact.
     """
-    fx = _prepare(f, n)
+    f = as_series(f)
+    require_finite(f)
+    require_unit_constant(f)
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    fx = np.zeros(n, dtype=np.complex128)
+    fx[: min(len(f), n)] = f[:n]
     g = np.ones(1, dtype=np.complex128)
     for k, k2, length in _recip_steps(n):
         fs = forward(fx[:k2], length, ledger)
@@ -112,7 +106,13 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
     with g^2 = f and g*v = 1 to order n; the blockwise square root takes
     both from its base case.
     """
-    fx = _prepare(f, n)
+    f = as_series(f)
+    require_finite(f)
+    require_unit_constant(f)
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    fx = np.zeros(n, dtype=np.complex128)
+    fx[: min(len(f), n)] = f[:n]
     v = np.ones(1, dtype=np.complex128)
     if n == 1:
         return v, v.copy()

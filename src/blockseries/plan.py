@@ -35,7 +35,7 @@ from .transform import next_supported
 # numpy 2.4 on one thread of a 2-vCPU x86-64 VM.  Transforms: the per-call
 # time of forward + inverse pairs at every 3-smooth length 2..2^19 (best of
 # six interleaved passes), fitted by least squares on relative error; the
-# fixed cost grows with the recursion depth, and per L * log2(L) the
+# fixed cost grows with the number of radix stages, and per L * log2(L) the
 # 3-part of a length costs 1.4 times the 2-part.  Accumulate: the per-step
 # time of the per-block loop that blockwise._accumulate's row contraction
 # replaced, at block sizes 1..2^16; kept so plans stay as they were until a
@@ -43,7 +43,7 @@ from .transform import next_supported
 # a block-count sweep (sqrt and recip, n = 2^6..2^18, k = 1..max) left over
 # after the terms above, fitted per main transform.
 TRANSFORM_NS = 3030.0  # fixed cost of one transform call
-TRANSFORM_STAGE_NS = 12770.0  # per recursion stage of the mixed-radix FFT
+TRANSFORM_STAGE_NS = 12770.0  # per radix stage of the mixed-radix FFT
 TRANSFORM_POINT_NS = 6.59  # per L * log2(L) of the 2-part of the length
 THREE_FACTOR = 1.40  # per-point cost of the 3-part relative to the 2-part
 ACCUMULATE_NS = 3500.0  # fixed cost of one spectral multiply-add

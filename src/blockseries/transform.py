@@ -168,7 +168,37 @@ def _real_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dft(x: np.ndarray) -> np.ndarray:
-    """Positive-orientation DFT along the last axis; x has shape (batch, n)."""
+    """Positive-orientation DFT along the last axis; x has shape (batch, n).
+
+    Mixed-radix decimation in time, run as a loop rather than a recursion:
+    the input is split by residue down to rows of length <= 4, those are
+    transformed directly, and the butterflies are applied one level at a
+    time on the way back up.  Only the current level's arrays are alive, so
+    the working memory stays a few times n instead of growing with the
+    number of levels.
+    """
+    b, n = x.shape
+    levels = []
+    while n > 4:
+        radix, w = _plan(n)
+        if _FAULT:
+            w = w.copy()
+            w[1, 1] = -w[1, 1]
+        levels.append((b, radix, w))
+        n //= radix
+        x = x.reshape(b, n, radix).transpose(0, 2, 1).reshape(b * radix, n)
+        b *= radix
+    z = _short_dft(x)
+    del x
+    for b, radix, w in reversed(levels):
+        z = z.reshape(b, radix, -1)
+        z *= w
+        z = _butterfly(z, radix)
+    return z
+
+
+def _short_dft(x: np.ndarray) -> np.ndarray:
+    """DFT of each row of x, rows of length n <= 4."""
     n = x.shape[-1]
     if n == 1:
         return x.copy()
@@ -179,18 +209,13 @@ def _dft(x: np.ndarray) -> np.ndarray:
         a, b, c = x[:, 0], x[:, 1], x[:, 2]
         w, wc = _W3, _W3.conjugate()
         return np.stack([a + b + c, a + w * b + wc * c, a + wc * b + w * c], axis=-1)
-    if n == 4:
-        s, d = x[:, 0] + x[:, 2], x[:, 0] - x[:, 2]
-        t, u = x[:, 1] + x[:, 3], x[:, 1] - x[:, 3]
-        return np.stack([s + t, d + 1j * u, s - t, d - 1j * u], axis=-1)
-    radix, w = _plan(n)
-    if _FAULT:
-        w = w.copy()
-        w[1, 1] = -w[1, 1]
-    m = n // radix
-    b = x.shape[0]
-    sub = _dft(x.reshape(b, m, radix).transpose(0, 2, 1).reshape(b * radix, m))
-    z = sub.reshape(b, radix, m) * w
+    s, d = x[:, 0] + x[:, 2], x[:, 0] - x[:, 2]
+    t, u = x[:, 1] + x[:, 3], x[:, 1] - x[:, 3]
+    return np.stack([s + t, d + 1j * u, s - t, d - 1j * u], axis=-1)
+
+
+def _butterfly(z: np.ndarray, radix: int) -> np.ndarray:
+    """Combine radix twiddled sub-transforms z[:, j] into rows of length radix * m."""
     if radix == 2:
         return np.concatenate([z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]], axis=-1)
     if radix == 3:

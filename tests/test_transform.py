@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,22 @@ class TestRoundTrip:
         p = rng.uniform(-1, 1, n)
         led = TransformLedger()
         assert np.abs(inverse(forward(p, n, led), led) - p).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [2**17, 3 * 2**15])
+    def test_working_memory_does_not_grow_with_depth(self, n):
+        # A complex transform holds at most 5 length-n vectors at once (4 for
+        # the inverse); keeping every level's copy alive took 11-12.
+        p = np.random.default_rng(n).uniform(-1, 1, n) + 1j
+        led = TransformLedger()
+        forward(p, n, led)  # builds the twiddle tables, which are kept
+        for run in (lambda: forward(p, n, led), lambda: inverse(p, led)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * 16 * n
 
 
 # Every supported length up to 4096, odd (full length + mirror) and even
