@@ -87,7 +87,7 @@ def sqrt_newton_coupled_transforms(n: int) -> Counter:
     for _, _, length in _rsqrt_steps(n):
         counts[length] += 3
     if n > 1:
-        counts[next_supported(2 * n - 1)] += 3
+        counts[length] += 2  # g = f*v at the last step's length
     return counts
 
 
@@ -101,10 +101,11 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
     transform each of the f slice and of v (the cube is free in the spectral
     domain) and one inverse.  The product has degree < k2 + 3k - 3, so its
     wrapped-around part lands below index k and indices k..k2-1 are exact.
-    A last full product g = f*v to n coefficients costs two forward
-    transforms and one inverse at next_supported(2n - 1).  Returns (g, v)
-    with g^2 = f and g*v = 1 to order n; the blockwise square root takes
-    both from its base case.
+    The last step transforms all of f at L = next_supported(2k + n) >= 2n,
+    so the full product g = f*v to n coefficients reuses that spectrum: one
+    forward transform of v and one inverse at L.  Returns (g, v) with
+    g^2 = f and g*v = 1 to order n; the blockwise square root takes both
+    from its base case.
     """
     f = as_series(f)
     require_finite(f)
@@ -124,6 +125,8 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
         newv[:k] = v
         newv[k:] = -0.5 * w[k:k2]
         v = newv
-    length = next_supported(2 * n - 1)
-    g = inverse(forward(fx, length, ledger) * forward(v, length, ledger), ledger)[:n]
+    # The last step had k2 = n, so fs is the spectrum of all of f at length.
+    # Its other spectra are freed first, so the product can reuse their memory.
+    del vs, w
+    g = inverse(fs * forward(v, length, ledger), ledger)[:n]
     return g, v

@@ -92,11 +92,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return [_parse_int_token(tok, pos, what) for pos, tok in enumerate(text.split(","), 1)]
 
 
-def _require_half_degree(op: str, ns: list[int]) -> None:
-    """A seeded sqrtrem input has degree 2n, so its --n must be >= 1."""
-    bad = [n for n in ns if n < 1] if op == "sqrtrem" else []
+def _require_positive_n(op: str, ns: list[int]) -> None:
+    """Every --n is a precision, or for sqrtrem a half-degree: it must be >= 1."""
+    bad = [n for n in ns if n < 1]
     if bad:
-        raise click.UsageError(f"--n must be >= 1 for sqrtrem (the half-degree), got {bad[0]}")
+        what = " for sqrtrem (the half-degree)" if op == "sqrtrem" else ""
+        raise click.UsageError(f"--n must be >= 1{what}, got {bad[0]}")
 
 
 @click.group()
@@ -130,7 +131,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
         raise click.UsageError("sqrtrem takes --n only with --random; "
                                "otherwise the degree comes from the input")
     if n is not None:
-        _require_half_degree(op, [n])
+        _require_positive_n(op, [n])
     spec = OPS[op]
     try:
         if random_input:
@@ -191,7 +192,7 @@ def bench(op, ns, blocks_list, seed, no_baselines):
     Every field is deterministic; wall time is measured by perfbench.
     """
     n_values = _parse_int_list(ns, "--n")
-    _require_half_degree(op, n_values)
+    _require_positive_n(op, n_values)
     blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list is not None else [None]
     try:
         records = run_bench(

@@ -11,8 +11,8 @@ unit of k: 1 for the square root (r = k blocks), 3 for the reciprocal
   length, from the per-length counts that the base case's companion
   ``baselines.*_transforms(m)`` returns for the schedule it runs;
 * the spectral accumulation between transforms: k(k-1)/2 (square root) or
-  k(9k+1)/2 (reciprocal) multiply-adds of length-2m spectra, which grows
-  like k * n.
+  k(9k+1)/2 (reciprocal) multiply-adds of length-2m spectra (m + 1 bins for
+  a real series), which grows like k * n.
 
 The default plan scores every k = 1..max_blocks and keeps the cheapest
 (the smallest k on ties).  An explicit block count, at most ceil(n / u),
@@ -39,7 +39,9 @@ from .transform import next_supported
 # 3-part of a length costs 1.4 times the 2-part.  Accumulate: the per-step
 # time of the per-block loop that blockwise._accumulate's row contraction
 # replaced, at block sizes 1..2^16; kept so plans stay as they were until a
-# refit (CHANGES.md has the contraction's cost).  Glue: the end-to-end time of
+# refit (CHANGES.md has the contraction's cost).  They price a contraction
+# over all 2m bins, so for a real series, whose caches keep bins 0..m only,
+# they overstate the accumulate term by about 2x.  Glue: the end-to-end time of
 # a block-count sweep (sqrt and recip, n = 2^6..2^18, k = 1..max) left over
 # after the terms above, fitted per main transform.
 TRANSFORM_NS = 3030.0  # fixed cost of one transform call

@@ -58,11 +58,14 @@ def recip_block_iter(
     if len(g0) != m:
         raise ValueError("base-case block must match the block size")
 
-    inv_low = BlockSeries(m, s)
+    # Each cache keeps only the rows it is read through: f and the partial
+    # inverse are only ever the left and the right factor of a product.
+    inv_low = BlockSeries(m, s, real=f.real)
     inv_low.append(g0)
-    inv_cache = TransformCache(inv_low)
-    g0_spec = inv_cache.ensure(0, ledger)
-    f_cache = TransformCache(f)
+    inv_cache = TransformCache(inv_low, folded=False)
+    inv_cache.ensure(0, ledger)
+    g0_spec = inv_cache.spectrum(0)
+    f_cache = TransformCache(f, spectra=False)
     for i in range(3 * s):
         f_cache.ensure(i, ledger)
 
@@ -76,7 +79,7 @@ def recip_block_iter(
         inv_cache.ensure(k, ledger)
 
     # Phase 2: negated low defect blocks of f * inv.
-    corr = BlockSeries(m, 2 * s)
+    corr = BlockSeries(m, 2 * s, real=f.real)
     corr_cache = TransformCache(corr)
     for k in range(s):
         blk = product_block(f_cache, inv_cache, k + s, ledger)

@@ -64,7 +64,7 @@ def _sqrt_blocks(
         raise ValueError("base-case blocks must match the block size")
 
     inv_spec = forward(g0_inv, 2 * m, ledger)
-    root = BlockSeries(m, blocks)
+    root = BlockSeries(m, blocks, real=f.real)
     root.append(g0)
     cache = TransformCache(root)
     for k in range(1, blocks):

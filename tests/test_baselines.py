@@ -93,8 +93,9 @@ class TestSqrtNewtonCoupled:
     def test_three_transforms_per_level(self):
         led = TransformLedger()
         sqrt_newton_coupled(conditioned_series(1, 64), 64, led)
-        # levels 1->2->...->64 at length 4k: 2F + 1I each; then g = f*v at 128
-        assert led.forward == {4: 2, 8: 2, 16: 2, 32: 2, 64: 2, 128: 4}
+        # levels 1->2->...->64 at length 4k: 2F + 1I each; then g = f*v at
+        # 128, reusing the last level's spectrum of f: 1F + 1I
+        assert led.forward == {4: 2, 8: 2, 16: 2, 32: 2, 64: 2, 128: 3}
         assert led.inverse == {4: 1, 8: 1, 16: 1, 32: 1, 64: 1, 128: 2}
 
     def test_unit_input_needs_no_transforms(self):

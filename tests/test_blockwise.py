@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,25 +71,31 @@ class TestTransformCache:
         led = TransformLedger()
         bs = decompose([1, 2, 3, 4], 2, 2)
         cache = TransformCache(bs)
-        first = cache.ensure(1, led)
+        cache.ensure(1, led)
+        first = cache.spectra[1].copy()
         snap = led.snapshot()
-        second = cache.ensure(1, led)
-        assert np.shares_memory(second, first)
+        cache.ensure(1, led)
         assert led.delta(snap) == ({}, {})
+        np.testing.assert_array_equal(cache.spectra[1], first)
 
     def test_zero_block(self):
         cache = TransformCache(decompose([], 4, 1))
-        spec = cache.ensure(0, TransformLedger())
-        np.testing.assert_allclose(spec, np.zeros(8))
+        cache.ensure(0, TransformLedger())
+        np.testing.assert_array_equal(cache.spectra[0], np.zeros(5))
+        np.testing.assert_array_equal(cache.spectrum(0), np.zeros(8))
 
     def test_matches_fresh_forward(self):
+        # A real series keeps bins 0..m, exactly as forward computes them, a
+        # complex one all 2m; either way the full spectrum is forward's.
         rng = np.random.default_rng(4)
-        bs = decompose(rng.uniform(-1, 1, 12), 4, 3)
-        cache = TransformCache(bs)
-        for i in range(3):
-            cached = cache.ensure(i, TransformLedger())
-            again = forward(bs.blocks[i], 8, TransformLedger())
-            np.testing.assert_array_equal(cached, again)
+        for imag, width in ((0, 5), (1j, 8)):
+            bs = decompose(rng.uniform(-1, 1, 12) + imag * rng.uniform(-1, 1, 12), 4, 3)
+            cache = TransformCache(bs)
+            for i in range(3):
+                cache.ensure(i, TransformLedger())
+                again = forward(bs.blocks[i], 8, TransformLedger())
+                np.testing.assert_array_equal(cache.spectra[i], again[:width])
+                np.testing.assert_array_equal(cache.spectrum(i), again)
 
     def test_out_of_range(self):
         cache = TransformCache(decompose([1], 2, 1))
@@ -267,3 +275,100 @@ class TestCombinedBlock:
         want = schoolbook_block(f, g, 1, m) - schoolbook_block(d, d, 2, m)
         assert np.abs(got - want).max() <= 1e-9
 
+
+
+def filled_cache(coeffs, m, nb, real, ledger):
+    """Cache of coeffs' nb blocks in a series flagged real or complex, all computed."""
+    series = BlockSeries(m, nb, real=real)
+    for block in np.reshape(coeffs, (nb, m)):
+        series.append(block)
+    cache = TransformCache(series)
+    for i in range(nb):
+        cache.ensure(i, ledger)
+    return cache
+
+
+class TestHalfWidth:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 9])
+    def test_real_blocks_match_full_width_contraction(self, m):
+        # The same real coefficients in a series flagged complex take the
+        # full-width contraction; the half-width one must give the same bits.
+        rng = np.random.default_rng(m)
+        nb = 4
+        d, f, g = (rng.uniform(-1, 1, m * nb) for _ in range(3))
+        half_led, full_led = TransformLedger(), TransformLedger()
+        half = [filled_cache(c, m, nb, True, half_led) for c in (d, f, g)]
+        full = [filled_cache(c, m, nb, False, full_led) for c in (d, f, g)]
+        assert (half[0].width, full[0].width) == (m + 1, 2 * m)
+
+        def blocks(caches, k, led):
+            dc, fc, gc = caches
+            return (product_block(fc, gc, k, led),
+                    combined_block([(dc, dc, k, +1), (fc, gc, max(k - 1, 0), -1)], led))
+
+        for k in range(2 * nb):
+            for a, b in zip(blocks(half, k, half_led), blocks(full, k, full_led)):
+                assert a.tobytes() == b.tobytes(), k
+        assert half_led.snapshot() == full_led.snapshot()
+
+    def test_cache_widths(self):
+        m, nb = 4, 3
+        real = TransformCache(decompose(np.arange(12.0), m, nb))
+        cplx = TransformCache(decompose(np.arange(12.0) * 1j, m, nb))
+        assert real.spectra.shape == (nb, m + 1)
+        assert real.folded.shape == (nb + 1, m + 1)
+        assert cplx.spectra.shape == (nb, 2 * m)
+        assert cplx.folded.shape == (nb + 1, 2 * m)
+
+    def test_recip_caches_keep_only_their_view(self, monkeypatch):
+        recip_mod = importlib.import_module("blockseries.recip")
+        made = []
+
+        class Recording(TransformCache):
+            def __init__(self, series, **roles):
+                super().__init__(series, **roles)
+                made.append(self)
+
+        monkeypatch.setattr(recip_mod, "TransformCache", Recording)
+        m, s = 4, 2
+        fs = decompose(np.r_[1.0, np.full(3 * s * m - 1, 0.01)], m, 3 * s)
+        out = recip_mod.recip_block_iter(fs, [1, -0.01, 0, 0], s, TransformLedger())
+        assert not out.imag.any()
+        inputs = [c for c in made if c.series is fs]
+        partial = [c for c in made if c.series.capacity == s]
+        assert len(inputs) == len(partial) == 1
+        assert inputs[0].spectra is None and inputs[0].folded is not None
+        assert partial[0].folded is None and partial[0].spectra is not None
+
+
+class TestGuards:
+    def test_complex_block_into_real_series(self):
+        bs = decompose([1.0, 2.0], 2, 2)
+        bs.num_blocks = 1
+        with pytest.raises(ValueError, match="complex block to a real series"):
+            bs.append([1, 1j])
+
+    def test_real_and_complex_caches_do_not_mix(self):
+        led = TransformLedger()
+        rc, _ = warm([1, 2], [1, 2], 2, 1, led)
+        cc, _ = warm([1, 2j], [1, 2j], 2, 1, led)
+        with pytest.raises(ValueError, match="mix real and complex"):
+            combined_block([(rc, rc, 0, +1), (cc, cc, 0, -1)], led)
+        with pytest.raises(ValueError, match="mix real and complex"):
+            product_block(rc, cc, 0, led)
+
+    def test_left_factor_needs_folded_rows(self):
+        led = TransformLedger()
+        fc = TransformCache(decompose([1, 2], 2, 1), folded=False)
+        fc.ensure(0, led)
+        with pytest.raises(ValueError, match="left factor's cache keeps no folded rows"):
+            product_block(fc, fc, 0, led)
+
+    def test_right_factor_needs_spectra_rows(self):
+        led = TransformLedger()
+        gc = TransformCache(decompose([1, 2], 2, 1), spectra=False)
+        gc.ensure(0, led)
+        with pytest.raises(ValueError, match="right factor's cache keeps no spectra rows"):
+            product_block(gc, gc, 0, led)
+        with pytest.raises(ValueError, match="cache keeps no spectra rows"):
+            gc.spectrum(0)

@@ -110,12 +110,9 @@ class TestCompute:
         assert "forward[" in result.stderr
 
     def test_precondition_failure_exit_one(self, runner):
-        for args in (["compute", "recip", "--coeffs", "2,1", "--n", "4"],
-                     ["compute", "sqrt", "--random", "--n", "0"],
-                     ["bench", "sqrt", "--n", "0"]):
-            result = runner.invoke(main, args)
-            assert result.exit_code == 1, args
-            assert "error:" in result.stderr, args
+        result = runner.invoke(main, ["compute", "recip", "--coeffs", "2,1", "--n", "4"])
+        assert result.exit_code == 1
+        assert "error:" in result.stderr
         # Past ceil(n / unit) = 10 blocks every further block would be padding.
         result = runner.invoke(
             main, ["compute", "sqrt", "--coeffs", "1,1", "--n", "10", "--blocks", "11"]
@@ -273,6 +270,14 @@ class TestOptionValues:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"--n must be >= 1 for sqrtrem (the half-degree), got {n}" in result.stderr
+
+    @pytest.mark.parametrize("cmd", [["bench", "sqrt"], ["compute", "sqrt", "--random"]],
+                             ids=["bench", "compute"])
+    def test_precision_usage_error(self, runner, cmd):
+        result = runner.invoke(main, [*cmd, "--n", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--n must be >= 1, got 0" in result.stderr
 
 
 class TestSelftest:
