@@ -31,12 +31,15 @@ from functools import lru_cache
 from . import baselines
 from .transform import next_supported
 
-# Cost constants in ns, measured on this package's radix-4/2/3 FFT with
-# numpy 2.4 on one thread of a 2-vCPU x86-64 VM.  Transforms: the per-call
-# time of forward + inverse pairs at every 3-smooth length 2..2^19 (best of
-# six interleaved passes), fitted by least squares on relative error; the
-# fixed cost grows with the number of radix stages, and per L * log2(L) the
-# 3-part of a length costs 1.4 times the 2-part.  Accumulate: the per-step
+# Cost constants in ns, measured with numpy 2.4 on one thread of a 2-vCPU
+# x86-64 VM.  Transforms: the per-call time of forward + inverse pairs at
+# every 3-smooth length 2..2^19 (best of six interleaved passes) on the
+# package's first, recursive FFT, fitted by least squares on relative error;
+# the fixed cost grows with the number of radix stages, and per L * log2(L)
+# the 3-part of a length costs 1.4 times the 2-part.  Two engine rewrites
+# later they overstate transforms until a refit: the autosort loop takes a
+# median 0.8 of the previous loop's time at L = 513..16384 and 0.6-0.7 above
+# (CHANGES.md has the per-length times).  Accumulate: the per-step
 # time of the per-block loop that blockwise._accumulate's row contraction
 # replaced, at block sizes 1..2^16; kept so plans stay as they were until a
 # refit (CHANGES.md has the contraction's cost).  They price a contraction

@@ -3,9 +3,9 @@
 Forward transforms evaluate a polynomial at the n-th roots of unity using the
 positive orientation, ``result[j] = p(e^{+2*pi*i*j/n})``; the inverse applies
 the conjugate transform scaled by 1/n.  Supported lengths are the 3-smooth
-integers 2^a * 3^b, handled by a mixed radix-4/2/3 decimation implemented with
-vectorized numpy butterflies.  Twiddle tables are built once per length and
-are read-only afterwards.
+integers 2^a * 3^b, handled by a mixed radix-4/2/3 decimation in time run as
+an autosort (Stockham) level loop on long vectors (see _dft).  Twiddle tables
+are built once per length and are read-only afterwards.
 
 Real series take a real path inside ``forward`` and ``inverse``, at every
 length.  A real input (zero imaginary part) always gets an exactly Hermitian
@@ -107,12 +107,18 @@ def next_supported(n: int) -> int:
         p3 *= 3
 
 
-# Primitive cube root of unity, positive orientation.
+# Primitive cube root of unity, positive orientation, and the radix-3
+# butterfly's factors [[w3, conj(w3)], [conj(w3), w3]] for blocks z1 and z2.
 _W3 = complex(-0.5, math.sqrt(3.0) / 2.0)
+_W3_PRODUCTS = np.array([[_W3, _W3.conjugate()], [_W3.conjugate(), _W3]]).reshape(2, 2, 1, 1)
 
-# length -> (radix, twiddle table of shape (radix, length // radix)); entries
-# are immutable once created.
-_PLANS: dict[int, tuple[int, np.ndarray]] = {}
+# Longest stretch of a block that one butterfly pass covers (see _butterfly).
+_CHUNK = 8192
+
+# length -> the levels of its transform, bottom-up: the leaf (radix = length
+# <= 4, no twiddles), then (radix, twiddle table of shape (radix, L // radix))
+# for each level length L up to the full length.  Immutable once created.
+_PLANS: dict[int, list[tuple[int, np.ndarray | None]]] = {}
 
 # length -> (a, conj(a[:n/2])) with a[j] = (1 - i*w^j)/2, j = 0..n/2,
 # w = e^{2*pi*i/n}: the untangling tables of the half-length real path.
@@ -136,17 +142,15 @@ def twiddle_fault():
         _FAULT = False
 
 
-def _plan(n: int) -> tuple[int, np.ndarray]:
+def _plan(n: int) -> list[tuple[int, np.ndarray | None]]:
     plan = _PLANS.get(n)
     if plan is None:
-        if n % 4 == 0:
-            radix = 4
-        elif n % 2 == 0:
-            radix = 2
+        if n <= 4:
+            plan = [(n, None)]
         else:
-            radix = 3
-        w = np.exp((2j * np.pi / n) * np.outer(np.arange(radix), np.arange(n // radix)))
-        plan = (radix, w)
+            radix = 4 if n % 4 == 0 else 2 if n % 2 == 0 else 3
+            w = np.exp((2j * np.pi / n) * np.outer(np.arange(radix), np.arange(n // radix)))
+            plan = _plan(n // radix) + [(radix, w)]
         _PLANS[n] = plan
     return plan
 
@@ -170,64 +174,79 @@ def _real_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _dft(x: np.ndarray) -> np.ndarray:
     """Positive-orientation DFT along the last axis; x has shape (batch, n).
 
-    Mixed-radix decimation in time, run as a loop rather than a recursion:
-    the input is split by residue down to rows of length <= 4, those are
-    transformed directly, and the butterflies are applied one level at a
-    time on the way back up.  Only the current level's arrays are alive, so
-    the working memory stays a few times n instead of growing with the
-    number of levels.
+    Autosort (Stockham) levels on a (rows, cols) view whose column c holds the
+    length-rows DFT of x[c::cols]: a level of radix r twiddles r column blocks
+    and combines them into r row blocks.  Once cols/r < rows, one transpose
+    copy makes the view (cols, rows), whose blocks are contiguous row slabs,
+    so every ufunc runs over inner loops of about sqrt(n) or more (Cochran et
+    al. 1967; Bailey 1990).  Levels alternate between two length-n buffers,
+    twiddled in place, with one temporary of at most 4 * _CHUNK points: the
+    working memory is about 2n, and x is never written.
     """
     b, n = x.shape
-    levels = []
-    while n > 4:
-        radix, w = _plan(n)
-        if _FAULT:
-            w = w.copy()
-            w[1, 1] = -w[1, 1]
-        levels.append((b, radix, w))
-        n //= radix
-        x = x.reshape(b, n, radix).transpose(0, 2, 1).reshape(b * radix, n)
-        b *= radix
-    z = _short_dft(x)
-    del x
-    for b, radix, w in reversed(levels):
-        z = z.reshape(b, radix, -1)
-        z *= w
-        z = _butterfly(z, radix)
-    return z
-
-
-def _short_dft(x: np.ndarray) -> np.ndarray:
-    """DFT of each row of x, rows of length n <= 4."""
-    n = x.shape[-1]
+    if b > 1:
+        return np.concatenate([_dft(row) for row in np.split(x, b)])
     if n == 1:
         return x.copy()
-    if n == 2:
-        a, b = x[:, 0], x[:, 1]
-        return np.stack([a + b, a - b], axis=-1)
-    if n == 3:
-        a, b, c = x[:, 0], x[:, 1], x[:, 2]
-        w, wc = _W3, _W3.conjugate()
-        return np.stack([a + b + c, a + w * b + wc * c, a + wc * b + w * c], axis=-1)
-    s, d = x[:, 0] + x[:, 2], x[:, 0] - x[:, 2]
-    t, u = x[:, 1] + x[:, 3], x[:, 1] - x[:, 3]
-    return np.stack([s + t, d + 1j * u, s - t, d - 1j * u], axis=-1)
+    levels = _plan(n)
+    bufs = [np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)]
+    tmp = np.empty(4 * min(n // levels[0][0], _CHUNK), dtype=np.complex128)
+    y, rows, cols, by_rows = x, 1, n, False
+    for radix, w in levels:
+        cols //= radix
+        if rows > cols and not by_rows:
+            dest = bufs[y is bufs[0]]
+            np.copyto(dest.reshape(cols * radix, rows), y.reshape(rows, cols * radix).T)
+            y, by_rows = dest, True
+        out = bufs[y is bufs[0]]
+        if by_rows:
+            z = y.reshape(radix, cols, rows)
+            o = out.reshape(cols, radix, rows).transpose(1, 0, 2)
+        else:
+            z = y.reshape(rows, radix, cols).transpose(1, 0, 2)
+            o = out.reshape(radix, rows, cols)
+        if w is not None:
+            if _FAULT:
+                w = w.copy()
+                w[1, 1] = -w[1, 1]
+            z *= w[:, None, :] if by_rows else w[:, :, None]
+        _butterfly(z, o, tmp)
+        y, rows = out, rows * radix
+    return y.reshape(1, n)
 
 
-def _butterfly(z: np.ndarray, radix: int) -> np.ndarray:
-    """Combine radix twiddled sub-transforms z[:, j] into rows of length radix * m."""
+def _butterfly(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out[q] = sum_j e^(2*pi*i*j*q/radix) z[j] for radix = len(z), through tmp.
+
+    Each ufunc call covers two blocks (same sums, same order); blocks longer
+    than _CHUNK go a chunk of rows or columns at a time, so tmp stays in cache.
+    """
+    radix = len(z)
+    size = z.size // radix
     if radix == 2:
-        return np.concatenate([z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]], axis=-1)
+        np.add(z[0], z[1], out=out[0])
+        np.subtract(z[0], z[1], out=out[1])
+        return
+    if size > _CHUNK:
+        axis = 1 if z.shape[1] > 1 else 2
+        step = max(1, z.shape[axis] * _CHUNK // size)
+        for a in range(0, z.shape[axis], step):
+            part = (slice(None),) * axis + (slice(a, a + step),)
+            _butterfly(z[part], out[part], tmp)
+        return
+    pairs = tmp[: 4 * size].reshape((2, 2) + z.shape[1:])
     if radix == 3:
-        z0, z1, z2 = z[:, 0], z[:, 1], z[:, 2]
-        w3, w3c = _W3, _W3.conjugate()
-        return np.concatenate(
-            [z0 + z1 + z2, z0 + w3 * z1 + w3c * z2, z0 + w3c * z1 + w3 * z2], axis=-1
-        )
-    z0, z1, z2, z3 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-    s, d = z0 + z2, z0 - z2
-    t, u = z1 + z3, z1 - z3
-    return np.concatenate([s + t, d + 1j * u, s - t, d - 1j * u], axis=-1)
+        np.add(z[0], z[1], out=out[0])
+        np.add(out[0], z[2], out=out[0])  # z0 + z1 + z2
+        np.multiply(_W3_PRODUCTS, z[1:, None], out=pairs)  # w3*z1, w3c*z1; w3c*z2, w3*z2
+        np.add(z[0], pairs[0], out=out[1:])  # z0 + w3*z1, z0 + w3c*z1
+        np.add(out[1:], pairs[1], out=out[1:])  # ... + w3c*z2, ... + w3*z2
+    else:
+        np.add(z[:2], z[2:], out=pairs[0])  # s = z0 + z2, t = z1 + z3
+        np.subtract(z[:2], z[2:], out=pairs[1])  # d = z0 - z2, u = z1 - z3
+        np.multiply(1j, pairs[1, 1], out=pairs[1, 1])  # 1j*u
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:2])  # s + t, d + 1j*u
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[2:])  # s - t, d - 1j*u
 
 
 def _forward_half(x: np.ndarray, n: int) -> Spectrum:

@@ -125,10 +125,11 @@ class TestRoundTrip:
         led = TransformLedger()
         assert np.abs(inverse(forward(p, n, led), led) - p).max() <= 1e-10
 
-    @pytest.mark.parametrize("n", [2**17, 3 * 2**15])
+    @pytest.mark.parametrize("n", [2**17, 3 * 2**15, 2 * 3**10])
     def test_working_memory_does_not_grow_with_depth(self, n):
-        # A complex transform holds at most 5 length-n vectors at once (4 for
-        # the inverse); keeping every level's copy alive took 11-12.
+        # A complex transform holds at most 5 length-n vectors at once (its
+        # padded input, two level buffers and a short temporary); keeping
+        # every level's copy alive took 11-12.
         p = np.random.default_rng(n).uniform(-1, 1, n) + 1j
         led = TransformLedger()
         forward(p, n, led)  # builds the twiddle tables, which are kept
@@ -143,8 +144,9 @@ class TestRoundTrip:
 
 
 # Every supported length up to 4096, odd (full length + mirror) and even
-# (half length), plus one long even length.
-REAL_LENGTHS = all_supported_up_to(4096) + [2**15]
+# (half length), plus long lengths that run many levels and change layout
+# deep in the loop: 2^19 in radix 4, 2 * 3^11 and 3^12 mostly in radix 3.
+REAL_LENGTHS = all_supported_up_to(4096) + [2**15, 2**19, 2 * 3**11, 3**12]
 
 
 def reference(p):
@@ -192,6 +194,22 @@ class TestRealPath:
             want = np.conj(transform._dft(np.conj(spec).reshape(1, n))[0]) / n
             assert np.array_equal(inverse(spec, led), want)
         assert dict(led.forward) == {n: 2} and dict(led.inverse) == {n: 2}
+
+    @pytest.mark.parametrize("n", REAL_LENGTHS)
+    def test_arguments_are_not_modified(self, n):
+        # The FFT scales its own buffers in place, never its caller's array.
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, n)
+        p = x + 1j * rng.uniform(-1, 1, n)
+        led = TransformLedger()
+        args = [x, x.astype(np.complex128), p, forward(x, n, led), forward(p, n, led)]
+        before = [a.tobytes() for a in args]
+        for a in args[:3]:
+            forward(a, n, led)
+        for a in args[3:]:
+            inverse(a, led)
+        transform._dft(p.reshape(1, n))
+        assert [a.tobytes() for a in args] == before
 
     @pytest.mark.parametrize("n", [n for n in REAL_LENGTHS if n >= 6])
     def test_fault_corrupts_both_paths(self, n):
