@@ -13,7 +13,6 @@ input, oracle and paper count.  The CLI and the invariant checks read it too.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -25,7 +24,7 @@ from .corpus import RNG_NAME, conditioned_monic, conditioned_series
 from .plan import RECIP, SQRT, BlockPlan, choose_plan
 from .recip import recip
 from .sqrt import rem_params, sqrt, sqrt_rem
-from .transform import TransformLedger
+from .transform import TransformLedger, transform_cost
 
 # Largest n for which bench records include the O(n^2) oracle comparison.
 ORACLE_CUTOFF = 2048
@@ -116,10 +115,6 @@ class BenchRecord:
         return json.dumps(asdict(self))
 
 
-def _transform_cost(length: int) -> float:
-    return length * math.log2(length) if length > 1 else 0.0
-
-
 def run_case(
     op: str,
     n: int,
@@ -141,7 +136,7 @@ def run_case(
         k, m = plan.blocks, plan.block_size
     weighted = ledger.weighted_cost()
     if spec.unit is not None:
-        ratio = weighted / (3 * spec.unit * k * _transform_cost(2 * m))
+        ratio = weighted / (3 * spec.unit * k * transform_cost(2 * m))
         expected = sum(spec.counts(k)) / (3 * spec.unit * k)
     return BenchRecord(
         op=op,

@@ -4,15 +4,13 @@ Each check takes ``full`` (False for a quick smoke run), raises AssertionError
 on a violated invariant and otherwise returns a detail string; the details
 carry the maximum observed errors so a failing run points at the broken
 layer.  Count formulas and oracles are read from the op table in bench.py.
+Transform counts are read from the ledger's ordered record, which each op's
+checks compare with PHASES: the paper's phase split, transform by transform.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-from collections import namedtuple
-from importlib import import_module
-from unittest import mock
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .bench import OPS, run_case
 from .blockwise import TransformCache, combined_block, decompose, product_block
 from .corpus import random_monic, random_series
 from .recip import recip_block_iter
-from .sqrt import rem_params, sqrt_block_iter
+from .sqrt import rem_params, sqrt_block_iter, sqrt_rem
 from .transform import (
     TransformLedger,
     as_series,
@@ -54,11 +52,35 @@ def block_of(coeffs, k: int, m: int) -> np.ndarray:
     return out
 
 
-def expect_counts(ledger: TransformLedger, length: int, counts, where: str) -> None:
-    """The ledger holds exactly counts = (forward, inverse) transforms, all of one length."""
-    want = tuple({length: c} if c else {} for c in counts)
-    got = (dict(+ledger.forward), dict(+ledger.inverse))
-    _require(got == want, f"{where}: got {got[0]}F {got[1]}I, want {want[0]}F {want[1]}I")
+def phases(length: int, runs) -> list[int]:
+    """The ledger record of runs (kinds, times): kinds spells transforms of one
+    length, F forward and I inverse, and the run repeats it times times."""
+    step = {"F": length, "I": -length}
+    return [step[kind] for kinds, times in runs for _ in range(times) for kind in kinds]
+
+
+# The paper's phase split of each op's main ledger at k blocks, as runs for phases().
+PHASES = {
+    # g0_inv; then per new block: the previous block, the overshoot, the defect, the update.
+    "sqrt": lambda r: [("F", 1), ("FIFI", r - 1)],
+    # g0 and the 3s input blocks; division; low defect and fused pass; update.
+    "recip": lambda s: [("F", 3 * s + 1), ("IFIF", s - 1), ("IF", 2 * s), ("I", 2 * s)],
+    # The square root's, then the last root block and the r high square blocks.
+    "sqrtrem": lambda r: PHASES["sqrt"](r) + [("F", 1), ("I", r)],
+}
+
+
+def expect_phases(ledger: TransformLedger, op: str, k: int, m: int, where: str) -> None:
+    """The ledger's record is op's phase split at k blocks of size m, transform by
+    transform, and holds the op table's (forward, inverse) counts."""
+    got, want = ledger.record, phases(2 * m, PHASES[op](k))
+    if got != want:
+        at = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
+        raise AssertionError(f"{where}: transform {at} is {got[at : at + 1]}, want "
+                             f"{want[at : at + 1]} ({len(got)} recorded, want {len(want)})")
+    counts = (sum(ledger.forward.values()), sum(ledger.inverse.values()))
+    _require(counts == OPS[op].counts(k), f"{where}: {counts[0]}F {counts[1]}I, "
+                                          f"op table {OPS[op].counts(k)}")
 
 
 def third_order_residual(g, f, n: int) -> float:
@@ -147,16 +169,15 @@ def warm_caches(f, g, m, nb, ledger):
 def _block_error(f, g, fc, gc, k: int, combined: bool, led: TransformLedger) -> float:
     """Error/tolerance of block k of f*g, or of f*f - f*g; asserts one inverse."""
     m = fc.block_size
-    snap = led.snapshot()
+    start = led.total()
     if combined:
         got = combined_block([(fc, fc, k, +1), (fc, gc, k, -1)], led)
         want = block_of(oracle.mul_schoolbook(f, f) - oracle.mul_schoolbook(f, g), k, m)
     else:
         got = product_block(fc, gc, k, led)
         want = block_of(oracle.mul_schoolbook(f, g), k, m)
-    dfwd, dinv = led.delta(snap)
-    _require(not +dfwd and dict(dinv) == {2 * m: 1},
-             f"m={m} k={k}: {dict(dfwd)}F {dict(dinv)}I, want one inverse")
+    added = led.since(start).record
+    _require(added == [-2 * m], f"m={m} k={k}: added {added}, want one inverse [{-2 * m}]")
     return _max_abs(got - want) / (1e-9 * m * (k + 1))
 
 
@@ -197,11 +218,10 @@ def sqrt_counts(full: bool) -> str:
         g0 = oracle.sqrt_recurrence(fs.blocks[0], m)
         led = TransformLedger()
         sqrt_block_iter(fs, g0, oracle.recip_recurrence(g0, m), r, led)
-        expect_counts(led, 2 * m, OPS["sqrt"].counts(r), f"r={r}")
-        _require(led.total() == 4 * r - 3, f"r={r}: {led.total()} transforms, want 4r-3")
+        expect_phases(led, "sqrt", r, m, f"r={r}")
     elapsed = time.perf_counter() - t0
     _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
-    return "4r-3 transforms at 2m, split 2(r-1)+1 / 2(r-1), r = 1..16"
+    return "4r-3 transforms at 2m in phase order F (FIFI)*(r-1), r = 1..16"
 
 
 def recip_counts(full: bool) -> str:
@@ -211,11 +231,10 @@ def recip_counts(full: bool) -> str:
         fs = decompose(random_series(60 + s, 3 * s * m), m, 3 * s)
         led = TransformLedger()
         recip_block_iter(fs, oracle.recip_recurrence(fs.blocks[0], m), s, led)
-        expect_counts(led, 2 * m, OPS["recip"].counts(s), f"s={s}")
-        _require(led.total() == 13 * s - 3, f"s={s}: {led.total()} transforms, want 13s-3")
+        expect_phases(led, "recip", s, m, f"s={s}")
     elapsed = time.perf_counter() - t0
     _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
-    return "13s-3 transforms at 2m, split 7s-1 / 6s-2, s = 1..8"
+    return "13s-3 transforms at 2m in phase order F*(3s+1) (IFIF)*(s-1) (IF)*2s I*2s, s = 1..8"
 
 
 def _correctness(op: str, residual, sizes: list[int], full: bool) -> str:
@@ -274,45 +293,8 @@ def sqrt_step_identity(full: bool) -> str:
     return _require(worst <= 1e-10, f"max identity error {worst:.3e}")
 
 
-def spent(before, after) -> tuple[int, int]:
-    """(forward, inverse) transforms between two ledger snapshots."""
-    return tuple(sum((b - a).values()) for a, b in zip(before, after))
-
-
-SpiedCall = namedtuple("SpiedCall", "name args before after")  # ledger snapshots
-
-
-def spied(module: str, names, led: TransformLedger, run):
-    """Call run(module) with the module's functions ``names`` rebound to spies.
-
-    Returns run's result and a SpiedCall per spied call, in call order.
-    """
-    mod = import_module(module)  # blockseries.sqrt and .recip are also functions
-    calls = []
-
-    def spy(name):
-        fn = getattr(mod, name)
-
-        def call(*args):
-            before = led.snapshot()
-            out = fn(*args)
-            calls.append(SpiedCall(name, args, before, led.snapshot()))
-            return out
-
-        return mock.patch.object(mod, name, wraps=call)
-
-    with contextlib.ExitStack() as stack:
-        for name in names:
-            stack.enter_context(spy(name))
-        return run(mod), calls
-
-
 def recip_structure(full: bool) -> str:
-    """Phase economy, correction blocks and division identity of the reciprocal.
-
-    The kernel calls come in phase order: s - 1 division blocks, s low-defect
-    blocks, s fused blocks (the only combined_block calls), 2s update blocks.
-    """
+    """Phase record, correction blocks and division identity of the reciprocal."""
     cases = [(random_series(seed, 3 * s * m), m, s, 1e-10)
              for seed, m, s in ((123, 4, 3), (9, 4, 3), (11, 4, 3), (13, 4, 4))]
     cases.append(([1], 2, 1, 1e-12))  # unit input: every correction block is zero
@@ -321,24 +303,16 @@ def recip_structure(full: bool) -> str:
         fs = decompose(f, m, 3 * s)
         g0 = oracle.recip_recurrence(fs.blocks[0], m)
         led = TransformLedger()
-        g, calls = spied("blockseries.recip", ["product_block", "combined_block"], led,
-                          lambda mod: mod.recip_block_iter(fs, g0, s, led))
-        kinds = [call.name for call in calls]
-        _require(kinds == ["product_block"] * (2 * s - 1) + ["combined_block"] * s
-                 + ["product_block"] * (2 * s), f"s={s}: kernel calls out of phase order")
-        low_end, fused_end = calls[2 * s - 1].before, calls[3 * s - 1].before
-        fused, update = spent(low_end, fused_end), spent(fused_end, led.snapshot())
-        _require(fused == (s, s), f"s={s}: fused pass used {fused}, want {s}F {s}I")
-        _require(update == (0, 2 * s), f"s={s}: update used {update}, want 0F {2 * s}I")
+        g = recip_block_iter(fs, g0, s, led)
+        expect_phases(led, "recip", s, m, f"s={s}")
 
-        # The update multiplies by the correction -defect + defect^2 * X^s,
-        # where f * inv_low = 1 + defect * X^s.
-        got = calls[-1].args[0].series.recompose()
+        # The upper 2s output blocks are inv_low times the correction
+        # -defect + defect_low^2 * X^s, where f * inv_low = 1 + defect * X^s.
         inv_low = g[: s * m]
         defect = oracle.mul_schoolbook(np.concatenate(fs.blocks), inv_low)[s * m : 3 * s * m]
-        want = -defect[: 2 * s * m]
-        want[s * m :] += oracle.mul_schoolbook(defect[: s * m], defect[: s * m])[: s * m]
-        err = _max_abs(got - want)
+        corr = -defect[: 2 * s * m]
+        corr[s * m :] += oracle.mul_schoolbook(defect[: s * m], defect[: s * m])[: s * m]
+        err = _max_abs(g[s * m :] - oracle.mul_schoolbook(inv_low, corr)[: 2 * s * m])
         _require(err <= tol, f"s={s}: correction error {err:.3e} > {tol:g}")
         worst_corr = max(worst_corr, err)
 
@@ -376,12 +350,8 @@ def sqrt_remainder(full: bool) -> str:
     for seed in range(10 if full else 5):
         f = random_monic(seed, 128)
         led = TransformLedger()
-        (g, rem), calls = spied("blockseries.sqrt", ["_sqrt_blocks"], led,
-                                 lambda mod: mod.sqrt_rem(f, led))
-        extra = spent(calls[0].after, led.snapshot())  # beyond the plain iteration
-        _require(extra == (1, r), f"seed={seed}: extra cost {extra}, want 1F {r}I")
-        expect_counts(led, 2 * m, OPS["sqrtrem"].counts(r), f"seed={seed}")
-        _require(led.total() == 5 * r - 2, f"seed={seed}: {led.total()} transforms, want 5r-2")
+        g, rem = sqrt_rem(f, led)
+        expect_phases(led, "sqrtrem", r, m, f"seed={seed}")
         _require(len(g) == 65 and len(rem) == 64, f"seed={seed}: lengths {len(g)}, {len(rem)}")
         _require(abs(g[-1] - 1.0) <= 1e-12, f"seed={seed}: root not monic")
         worst = max(worst, OPS["sqrtrem"].error(f, 64, (g, rem)))

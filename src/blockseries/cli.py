@@ -208,7 +208,7 @@ def bench(op, ns, blocks_list, seed, no_baselines):
 @main.command()
 @click.option("--quick/--full", default=True, help="Quick smoke run or the full suite.")
 @click.option("--inject-fault", is_flag=True, hidden=True,
-              help="Corrupt one FFT twiddle factor (detector sanity hook).")
+              help="Corrupt every transform result (detector sanity hook).")
 def selftest(quick, inject_fault):
     """Run the invariant checks; exit 0 only if everything passes."""
     from .checks import run_selftest  # imported here to keep compute's start-up lean

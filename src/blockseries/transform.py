@@ -20,9 +20,12 @@ TASSP 1987); odd lengths run the full-length transform and then mirror the
 spectrum (forward) or drop the imaginary part (inverse).  Complex input takes
 the full-length transform unchanged.
 
-Every forward/inverse call increments a caller-supplied TransformLedger, the
-instrument that makes transform-count assertions exact integers.  A ledger
-must not be shared between concurrently running operations; use one per task.
+Every forward/inverse call appends to a caller-supplied TransformLedger, one
+ordered record of the run's transforms (+L forward, -L inverse, length L) of
+which counts, totals and costs are views; a ledger must not be shared between
+concurrently running operations.  The test hook twiddle_fault acts at this
+boundary, not in the engine: forward and inverse swap entries 1 and 2 of each
+result of length >= 6, the forward before its Hermitian fill.
 """
 
 from __future__ import annotations
@@ -44,36 +47,40 @@ class UnsupportedLengthError(ValueError):
     """Requested transform length is not of the form 2^a * 3^b."""
 
 
+def transform_cost(length: int, count: int = 1) -> float:
+    """count * length * log2(length): the weight of count transforms of one length."""
+    return count * length * math.log2(length) if length > 1 else 0.0
+
+
 @dataclass
 class TransformLedger:
-    """Counts of forward and inverse transforms, keyed by length."""
+    """The run's transforms in order: +L for a forward, -L for an inverse of length L."""
 
-    forward: Counter = field(default_factory=Counter)
-    inverse: Counter = field(default_factory=Counter)
+    record: list[int] = field(default_factory=list)
 
-    def record_forward(self, n: int) -> None:
-        self.forward[n] += 1
+    @property
+    def forward(self) -> Counter:
+        """Forward transforms by length, in first-seen order."""
+        return Counter(n for n in self.record if n > 0)
 
-    def record_inverse(self, n: int) -> None:
-        self.inverse[n] += 1
+    @property
+    def inverse(self) -> Counter:
+        """Inverse transforms by length, in first-seen order."""
+        return Counter(-n for n in self.record if n < 0)
 
     def total(self) -> int:
-        return sum(self.forward.values()) + sum(self.inverse.values())
+        return len(self.record)
 
-    def snapshot(self) -> tuple[Counter, Counter]:
-        return Counter(self.forward), Counter(self.inverse)
-
-    def delta(self, snap: tuple[Counter, Counter]) -> tuple[Counter, Counter]:
-        """Counts added since ``snap`` (counts never decrease)."""
-        return self.forward - snap[0], self.inverse - snap[1]
+    def since(self, start: int) -> TransformLedger:
+        """The transforms recorded after the first ``start`` (a ``total()`` taken earlier)."""
+        return TransformLedger(self.record[start:])
 
     def weighted_cost(self) -> float:
         """Sum of length * log2(length) over all recorded transforms."""
         cost = 0.0
         for table in (self.forward, self.inverse):
             for n, c in table.items():
-                if n > 1:
-                    cost += c * n * math.log2(n)
+                cost += transform_cost(n, c)
         return cost
 
 
@@ -125,21 +132,25 @@ _PLANS: dict[int, list[tuple[int, np.ndarray | None]]] = {}
 # Read-only once created.
 _REAL_PLANS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-# Test hook (see twiddle_fault): flips one twiddle sign in every composite
-# stage and negates one untangling coefficient, corrupting all transforms of
-# length >= 6 on both the complex and the real path.
+# Test hook (see twiddle_fault), read by _corrupt only.
 _FAULT = False
 
 
 @contextmanager
 def twiddle_fault():
-    """Deliberately corrupt the FFT while the context is active (test hook)."""
+    """Deliberately corrupt every transform of length >= 6 while active (test hook)."""
     global _FAULT
     _FAULT = True
     try:
         yield
     finally:
         _FAULT = False
+
+
+def _corrupt(out: np.ndarray) -> None:
+    """Swap entries 1 and 2 of a transform's result while twiddle_fault is active."""
+    if _FAULT and len(out) >= 6:
+        out[1], out[2] = out[2], out[1]
 
 
 def _plan(n: int) -> list[tuple[int, np.ndarray | None]]:
@@ -164,15 +175,11 @@ def _real_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
         for table in plan:
             table.setflags(write=False)
         _REAL_PLANS[n] = plan
-    if _FAULT and n >= 6:  # the lengths the stage fault reaches
-        plan = tuple(table.copy() for table in plan)
-        for table in plan:
-            table[1] = -table[1]
     return plan
 
 
 def _dft(x: np.ndarray) -> np.ndarray:
-    """Positive-orientation DFT along the last axis; x has shape (batch, n).
+    """Positive-orientation DFT of the vector x.
 
     Autosort (Stockham) levels on a (rows, cols) view whose column c holds the
     length-rows DFT of x[c::cols]: a level of radix r twiddles r column blocks
@@ -183,9 +190,7 @@ def _dft(x: np.ndarray) -> np.ndarray:
     twiddled in place, with one temporary of at most 4 * _CHUNK points: the
     working memory is about 2n, and x is never written.
     """
-    b, n = x.shape
-    if b > 1:
-        return np.concatenate([_dft(row) for row in np.split(x, b)])
+    n = len(x)
     if n == 1:
         return x.copy()
     levels = _plan(n)
@@ -206,13 +211,10 @@ def _dft(x: np.ndarray) -> np.ndarray:
             z = y.reshape(rows, radix, cols).transpose(1, 0, 2)
             o = out.reshape(radix, rows, cols)
         if w is not None:
-            if _FAULT:
-                w = w.copy()
-                w[1, 1] = -w[1, 1]
             z *= w[:, None, :] if by_rows else w[:, :, None]
         _butterfly(z, o, tmp)
         y, rows = out, rows * radix
-    return y.reshape(1, n)
+    return y
 
 
 def _butterfly(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -259,7 +261,7 @@ def _forward_half(x: np.ndarray, n: int) -> Spectrum:
     half = n // 2
     buf = np.zeros(n)
     buf[: len(x)] = x
-    z = _dft(buf.view(np.complex128).reshape(1, half))[0]
+    z = _dft(buf.view(np.complex128))
     a, _ = _real_plan(n)
     y = np.conj(np.concatenate([z[:1], z[::-1]]))
     out = np.empty(n, dtype=np.complex128)
@@ -285,7 +287,7 @@ def _inverse_half(s: Spectrum) -> np.ndarray:
     z *= ac
     z += hi
     np.conjugate(z, out=z)
-    y = _dft(z.reshape(1, half))[0]
+    y = _dft(z)
     np.conjugate(y, out=y)
     y /= half
     return y.view(np.float64)
@@ -345,10 +347,11 @@ def forward(p, n: int, ledger: TransformLedger) -> Spectrum:
     else:
         x = np.zeros(n, dtype=np.complex128)
         x[: len(p)] = p
-        out = _dft(x.reshape(1, n))[0]
+        out = _dft(x)
+    _corrupt(out)
     if real:
         _hermitian_fill(out)
-    ledger.record_forward(n)
+    ledger.record.append(n)
     return out
 
 
@@ -362,8 +365,9 @@ def inverse(s, ledger: TransformLedger) -> Poly:
     if real and n % 2 == 0:
         out = _inverse_half(s).astype(np.complex128)
     else:
-        out = np.conj(_dft(np.conj(s).reshape(1, n))[0]) / n
+        out = np.conj(_dft(np.conj(s))) / n
         if real:
             out.imag = 0.0
-    ledger.record_inverse(n)
+    _corrupt(out)
+    ledger.record.append(-n)
     return out

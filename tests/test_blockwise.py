@@ -73,9 +73,9 @@ class TestTransformCache:
         cache = TransformCache(bs)
         cache.ensure(1, led)
         first = cache.spectra[1].copy()
-        snap = led.snapshot()
+        start = led.total()
         cache.ensure(1, led)
-        assert led.delta(snap) == ({}, {})
+        assert led.since(start).record == []
         np.testing.assert_array_equal(cache.spectra[1], first)
 
     def test_zero_block(self):
@@ -161,12 +161,10 @@ class TestProductBlock:
         m, t = 4, 6
         led = TransformLedger()
         fc, gc = warm(rng.uniform(-1, 1, m * t), rng.uniform(-1, 1, m * t), m, t, led)
-        snap = led.snapshot()
+        start = led.total()
         for k in range(t):
             product_block(fc, gc, k, led)
-        dfwd, dinv = led.delta(snap)
-        assert sum(dfwd.values()) == 0
-        assert dict(dinv) == {2 * m: t}
+        assert led.since(start).record == [-2 * m] * t
 
     def test_block_size_mismatch(self):
         led = TransformLedger()
@@ -245,11 +243,9 @@ class TestCombinedBlock:
         fc, gc = warm(rng.uniform(-1, 1, m * nb), rng.uniform(-1, 1, m * nb), m, nb, led)
         for terms in ([(fc, gc, 1, +1)], [(fc, gc, 1, +1)] * 3,
                       [(fc, gc, 1, +1), (gc, fc, 0, -1)] * 2):
-            snap = led.snapshot()
+            start = led.total()
             combined_block(terms, led)
-            dfwd, dinv = led.delta(snap)
-            assert sum(dfwd.values()) == 0
-            assert dict(dinv) == {2 * m: 1}
+            assert led.since(start).record == [-2 * m]
 
     def test_validation(self):
         led = TransformLedger()
@@ -269,9 +265,9 @@ class TestCombinedBlock:
         led = TransformLedger()
         dc, _ = warm(d, d, m, nb, led)
         fc, gc = warm(f, g, m, nb, led)
-        snap = led.snapshot()
+        start = led.total()
         got = combined_block([(fc, gc, 1, +1), (dc, dc, 2, -1)], led)
-        assert led.delta(snap) == ({}, {2 * m: 1})
+        assert led.since(start).record == [-2 * m]
         want = schoolbook_block(f, g, 1, m) - schoolbook_block(d, d, 2, m)
         assert np.abs(got - want).max() <= 1e-9
 
@@ -309,7 +305,7 @@ class TestHalfWidth:
         for k in range(2 * nb):
             for a, b in zip(blocks(half, k, half_led), blocks(full, k, full_led)):
                 assert a.tobytes() == b.tobytes(), k
-        assert half_led.snapshot() == full_led.snapshot()
+        assert half_led.record == full_led.record
 
     def test_cache_widths(self):
         m, nb = 4, 3

@@ -8,9 +8,9 @@ from blockseries import checks, transform
 NAMES = [name for name, _ in checks.CHECKS]
 
 # Checks that compare no FFT output with a value (counts, schoolbook
-# arithmetic, cost sums, repeatability, exact realness, which the transform's
-# real path enforces by symmetry whatever the twiddles), so a corrupted
-# twiddle passes them.
+# arithmetic, cost sums, repeatability, exact realness, which the fault keeps:
+# it swaps two forward bins before the Hermitian fill and two real inverse
+# coefficients), so transforms corrupted at their boundary pass them.
 SURVIVE_FAULT = {
     "sqrt-counts",
     "recip-counts",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from blockseries import TransformLedger, baselines
 from blockseries import plan as planner
 from blockseries.bench import BLOCKWISE_OPS, OPS
-from blockseries.checks import expect_counts
+from blockseries.checks import expect_phases
 from blockseries.corpus import conditioned_series
 from blockseries.recip import choose_params as recip_params
 from blockseries.sqrt import choose_params as sqrt_params
@@ -21,13 +21,12 @@ BLOCK_LIMIT = {"sqrt": lambda n: n, "recip": lambda n: -(-n // 3), "sqrtrem": la
 
 
 def check_op(op, n, f, blocks=None):
-    """Run op at its plan; the ledger must hold its exact count split."""
+    """Run op at its plan; the ledger must hold its exact phase split."""
     spec = OPS[op]
     plan = spec.plan(n, blocks)
     led = TransformLedger()
     out = spec.run(spec.fn, f, n, led, blocks, None)
-    expect_counts(led, 2 * plan.block_size, spec.counts(plan.blocks),
-                  f"{op} n={n} blocks={blocks}")
+    expect_phases(led, op, plan.blocks, plan.block_size, f"{op} n={n} blocks={blocks}")
     return out
 
 

@@ -191,7 +191,7 @@ class TestRealPath:
         h = forward(p.real, n, led)
         h[0] = complex(h[0].real, 5e-324)
         for spec in (s, h):
-            want = np.conj(transform._dft(np.conj(spec).reshape(1, n))[0]) / n
+            want = np.conj(transform._dft(np.conj(spec))) / n
             assert np.array_equal(inverse(spec, led), want)
         assert dict(led.forward) == {n: 2} and dict(led.inverse) == {n: 2}
 
@@ -208,7 +208,7 @@ class TestRealPath:
             forward(a, n, led)
         for a in args[3:]:
             inverse(a, led)
-        transform._dft(p.reshape(1, n))
+        transform._dft(p)
         assert [a.tobytes() for a in args] == before
 
     @pytest.mark.parametrize("n", [n for n in REAL_LENGTHS if n >= 6])
@@ -343,15 +343,20 @@ class TestSupportedSizes:
 
 
 class TestLedger:
-    def test_delta(self):
+    def test_since_and_views(self):
         led = TransformLedger()
         forward([1], 2, led)
-        snap = led.snapshot()
+        start = led.total()
         forward([1], 4, led)
         inverse(np.ones(4), led)
-        dfwd, dinv = led.delta(snap)
-        assert dict(dfwd) == {4: 1} and dict(dinv) == {4: 1}
-        assert led.total() == 3
+        forward([1], 2, led)
+        inverse(np.ones(2), led)
+        assert led.record == [2, 4, -4, 2, -2]
+        assert led.since(start).record == [4, -4, 2, -2]
+        assert led.since(led.total()).record == []
+        assert list(led.forward.items()) == [(2, 2), (4, 1)]  # first-seen order
+        assert list(led.inverse.items()) == [(4, 1), (2, 1)]
+        assert led.total() == 5
 
     def test_weighted_cost(self):
         led = TransformLedger()
