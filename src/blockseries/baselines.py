@@ -4,14 +4,14 @@ Both routines double the precision k -> min(2k, n) with wrapped products, so
 each step costs two forward transforms and one inverse at a length of about
 3k (reciprocal) or 4k (square root); see Bernstein, "Removing redundancy in
 high-precision Newton iteration" (2004), and Hanrot and Zimmermann, "Newton
-iteration revisited" (2004).  Each routine has a companion ``*_transforms(n)``
-that returns the exact per-length transform counts of its schedule, which the
-planner prices and the tests hold against the ledger.
+iteration revisited" (2004).  Each routine has a companion ``*_schedule(n)``
+that states, from the same step iterator, the ordered ledger record the
+routine produces; the planner prices it and the checks hold it against the
+ledger.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 
 import numpy as np
@@ -45,12 +45,9 @@ def _rsqrt_steps(n: int) -> Iterator[tuple[int, int, int]]:
     return _doubling_steps(n, 2, 1)  # f*v^3 wraps only below index k
 
 
-def recip_schonhage_transforms(n: int) -> Counter:
-    """Transforms per length that recip_schonhage(f, n) performs."""
-    counts = Counter()
-    for _, _, length in _recip_steps(n):
-        counts[length] += 3
-    return counts
+def recip_schonhage_schedule(n: int) -> list[tuple[int, str, int]]:
+    """The ledger record of recip_schonhage(f, n), as runs for TransformLedger.of."""
+    return [(length, "FFI", 1) for _, _, length in _recip_steps(n)]
 
 
 def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
@@ -81,14 +78,12 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
     return g
 
 
-def sqrt_newton_coupled_transforms(n: int) -> Counter:
-    """Transforms per length that sqrt_newton_coupled(f, n) performs."""
-    counts = Counter()
-    for _, _, length in _rsqrt_steps(n):
-        counts[length] += 3
-    if n > 1:
-        counts[length] += 2  # g = f*v at the last step's length
-    return counts
+def sqrt_newton_coupled_schedule(n: int) -> list[tuple[int, str, int]]:
+    """The ledger record of sqrt_newton_coupled(f, n), as runs for TransformLedger.of."""
+    runs = [(length, "FFI", 1) for _, _, length in _rsqrt_steps(n)]
+    if runs:
+        runs.append((runs[-1][0], "FI", 1))  # g = f*v at the last step's length
+    return runs
 
 
 def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ in a way that can be compared across machines.  Wall time is measured by
 perfbench, not here.
 
 OPS is the one table of operations: each name's entry point, plan, seeded
-input, oracle and paper count.  The CLI and the invariant checks read it too.
+input, oracle and schedule.  The CLI and the invariant checks read it too.
 """
 
 from __future__ import annotations
@@ -63,27 +63,28 @@ def _remainder_error(f, n, out) -> float:
 
 @dataclass(frozen=True)
 class Op:
-    """An operation: how to call it and the oracle and counts it must meet."""
+    """An operation: how to call it and the oracle and schedule it must meet."""
 
     fn: Callable  # public entry point
     run: Callable  # (fn, f, n, ledger, blocks, base_ledger) -> output
     make_input: Callable[[int, int], np.ndarray]  # (seed, n) -> seeded input
     error: Callable  # (f, n, output) -> largest deviation from the O(n^2) oracle
     plan: Callable[[int, int | None], BlockPlan] | None = None  # None: doubling baseline
-    counts: Callable[[int], tuple[int, int]] | None = None  # blocks -> (forward, inverse)
+    schedule: Callable[[int, int], list] | None = None  # (blocks, block size) -> ledger runs
     unit: int | None = None  # output blocks per block for the cost ratio; None: no ratio
     baseline: str | None = None
 
 
 OPS: dict[str, Op] = {
     "sqrt": Op(sqrt, _blockwise, conditioned_series, _sqrt_error, plan=partial(choose_plan, SQRT),
-               counts=SQRT.transforms, unit=SQRT.unit, baseline="sqrt_newton_coupled"),
+               schedule=SQRT.schedule, unit=SQRT.unit, baseline="sqrt_newton_coupled"),
     "recip": Op(recip, _blockwise, conditioned_series, _recip_error,
-                plan=partial(choose_plan, RECIP), counts=RECIP.transforms, unit=RECIP.unit,
+                plan=partial(choose_plan, RECIP), schedule=RECIP.schedule, unit=RECIP.unit,
                 baseline="recip_schonhage"),
-    # +1 forward for the last root block and +r inverse for the high square.
+    # The square root's, then the last root block and the r high square blocks.
     "sqrtrem": Op(sqrt_rem, _with_remainder, lambda seed, n: conditioned_monic(seed, 2 * n),
-                  _remainder_error, plan=rem_params, counts=lambda r: (2 * r, 3 * r - 2)),
+                  _remainder_error, plan=rem_params,
+                  schedule=lambda r, m: SQRT.schedule(r, m) + [(2 * m, "F", 1), (2 * m, "I", r)]),
     "recip_schonhage": Op(baselines.recip_schonhage, _doubling, conditioned_series, _recip_error),
     "sqrt_newton_coupled": Op(baselines.sqrt_newton_coupled, _doubling, conditioned_series,
                               lambda f, n, out: _sqrt_error(f, n, out[0])),
@@ -137,7 +138,7 @@ def run_case(
     weighted = ledger.weighted_cost()
     if spec.unit is not None:
         ratio = weighted / (3 * spec.unit * k * transform_cost(2 * m))
-        expected = sum(spec.counts(k)) / (3 * spec.unit * k)
+        expected = TransformLedger.of(spec.schedule(k, m)).total() / (3 * spec.unit * k)
     return BenchRecord(
         op=op,
         n=n,

@@ -3,9 +3,10 @@
 Each check takes ``full`` (False for a quick smoke run), raises AssertionError
 on a violated invariant and otherwise returns a detail string; the details
 carry the maximum observed errors so a failing run points at the broken
-layer.  Count formulas and oracles are read from the op table in bench.py.
-Transform counts are read from the ledger's ordered record, which each op's
-checks compare with PHASES: the paper's phase split, transform by transform.
+layer.  Oracles and schedules are read from the op table in bench.py: each
+check compares a ledger's ordered record, transform by transform, with the
+schedule of the op or doubling base case that made it, and the counts checks
+also assert the paper's totals 4r-3, 13s-3 and 5r-2 as literals.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .recip import recip_block_iter
 from .sqrt import rem_params, sqrt_block_iter, sqrt_rem
 from .transform import (
     TransformLedger,
-    as_series,
     forward,
     inverse,
     next_supported,
@@ -52,61 +52,13 @@ def block_of(coeffs, k: int, m: int) -> np.ndarray:
     return out
 
 
-def phases(length: int, runs) -> list[int]:
-    """The ledger record of runs (kinds, times): kinds spells transforms of one
-    length, F forward and I inverse, and the run repeats it times times."""
-    step = {"F": length, "I": -length}
-    return [step[kind] for kinds, times in runs for _ in range(times) for kind in kinds]
-
-
-# The paper's phase split of each op's main ledger at k blocks, as runs for phases().
-PHASES = {
-    # g0_inv; then per new block: the previous block, the overshoot, the defect, the update.
-    "sqrt": lambda r: [("F", 1), ("FIFI", r - 1)],
-    # g0 and the 3s input blocks; division; low defect and fused pass; update.
-    "recip": lambda s: [("F", 3 * s + 1), ("IFIF", s - 1), ("IF", 2 * s), ("I", 2 * s)],
-    # The square root's, then the last root block and the r high square blocks.
-    "sqrtrem": lambda r: PHASES["sqrt"](r) + [("F", 1), ("I", r)],
-}
-
-
-def expect_phases(ledger: TransformLedger, op: str, k: int, m: int, where: str) -> None:
-    """The ledger's record is op's phase split at k blocks of size m, transform by
-    transform, and holds the op table's (forward, inverse) counts."""
-    got, want = ledger.record, phases(2 * m, PHASES[op](k))
+def expect_phases(ledger: TransformLedger, schedule, where: str) -> None:
+    """The ledger's record is the one the schedule states, transform by transform."""
+    got, want = ledger.record, TransformLedger.of(schedule).record
     if got != want:
         at = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
         raise AssertionError(f"{where}: transform {at} is {got[at : at + 1]}, want "
                              f"{want[at : at + 1]} ({len(got)} recorded, want {len(want)})")
-    counts = (sum(ledger.forward.values()), sum(ledger.inverse.values()))
-    _require(counts == OPS[op].counts(k), f"{where}: {counts[0]}F {counts[1]}I, "
-                                          f"op table {OPS[op].counts(k)}")
-
-
-def third_order_residual(g, f, n: int) -> float:
-    """Residual of the schoolbook third-order update (no FFT).
-
-    Requires f*g = 1 to order n; forms g' = g*(1 - d*x^n + d^2*x^{2n}) with d
-    read off from f*g and returns max |f*g' - 1| over coefficients below 3n.
-    """
-    f = as_series(f)
-    g = as_series(g)
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    prod = block_of(oracle.mul_schoolbook(f, g), 0, 3 * n)
-    head = prod[:n].copy()
-    head[0] -= 1.0
-    if np.abs(head).max() > 1e-6:
-        raise ValueError("f*g is not 1 to order n")
-    defect = prod[n:]
-    corr = np.zeros(3 * n, dtype=np.complex128)
-    corr[0] = 1.0
-    corr[n:] -= defect
-    corr[2 * n :] += oracle.mul_schoolbook(defect, defect)[:n]
-    gp = block_of(oracle.mul_schoolbook(g, corr), 0, 3 * n)
-    resid = block_of(oracle.mul_schoolbook(f, gp), 0, 3 * n)
-    resid[0] -= 1.0
-    return _max_abs(resid)
 
 
 def transform_roundtrip(full: bool) -> str:
@@ -218,7 +170,8 @@ def sqrt_counts(full: bool) -> str:
         g0 = oracle.sqrt_recurrence(fs.blocks[0], m)
         led = TransformLedger()
         sqrt_block_iter(fs, g0, oracle.recip_recurrence(g0, m), r, led)
-        expect_phases(led, "sqrt", r, m, f"r={r}")
+        _require(led.total() == 4 * r - 3, f"r={r}: {led.total()} transforms, paper 4r-3")
+        expect_phases(led, OPS["sqrt"].schedule(r, m), f"r={r}")
     elapsed = time.perf_counter() - t0
     _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
     return "4r-3 transforms at 2m in phase order F (FIFI)*(r-1), r = 1..16"
@@ -231,7 +184,8 @@ def recip_counts(full: bool) -> str:
         fs = decompose(random_series(60 + s, 3 * s * m), m, 3 * s)
         led = TransformLedger()
         recip_block_iter(fs, oracle.recip_recurrence(fs.blocks[0], m), s, led)
-        expect_phases(led, "recip", s, m, f"s={s}")
+        _require(led.total() == 13 * s - 3, f"s={s}: {led.total()} transforms, paper 13s-3")
+        expect_phases(led, OPS["recip"].schedule(s, m), f"s={s}")
     elapsed = time.perf_counter() - t0
     _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
     return "13s-3 transforms at 2m in phase order F*(3s+1) (IFIF)*(s-1) (IF)*2s I*2s, s = 1..8"
@@ -304,7 +258,7 @@ def recip_structure(full: bool) -> str:
         g0 = oracle.recip_recurrence(fs.blocks[0], m)
         led = TransformLedger()
         g = recip_block_iter(fs, g0, s, led)
-        expect_phases(led, "recip", s, m, f"s={s}")
+        expect_phases(led, OPS["recip"].schedule(s, m), f"s={s}")
 
         # The upper 2s output blocks are inv_low times the correction
         # -defect + defect_low^2 * X^s, where f * inv_low = 1 + defect * X^s.
@@ -325,23 +279,6 @@ def recip_structure(full: bool) -> str:
                                         f"division identity error {worst_div:.3e}")
 
 
-def third_order_identity(full: bool) -> str:
-    r1 = third_order_residual([1, 1], [1, -1], 2)
-    _require(r1 <= 1e-12, f"geometric pair residual {r1:.3e}")
-    r0 = third_order_residual([1], [1], 1)
-    _require(r0 == 0.0, f"trivial pair residual {r0:.3e}")
-    f = random_series(7, 24)
-    r2 = third_order_residual(oracle.recip_recurrence(f, 8), f, 8)
-    _require(r2 <= 1e-10, f"oracle inverse residual {r2:.3e}")
-    try:
-        third_order_residual([1, 1], [1, 1], 2)
-    except ValueError as exc:
-        _require("not 1" in str(exc), f"wrong inverse rejected with {exc}")
-    else:
-        raise AssertionError("a wrong inverse was not rejected")
-    return f"max residual {max(r1, r2):.3e}"
-
-
 def sqrt_remainder(full: bool) -> str:
     """Degree-128 monic splits: shape, residual, and the +1F +rI extra cost."""
     plan = rem_params(64)
@@ -351,7 +288,8 @@ def sqrt_remainder(full: bool) -> str:
         f = random_monic(seed, 128)
         led = TransformLedger()
         g, rem = sqrt_rem(f, led)
-        expect_phases(led, "sqrtrem", r, m, f"seed={seed}")
+        _require(led.total() == 5 * r - 2, f"seed={seed}: {led.total()} transforms, paper 5r-2")
+        expect_phases(led, OPS["sqrtrem"].schedule(r, m), f"seed={seed}")
         _require(len(g) == 65 and len(rem) == 64, f"seed={seed}: lengths {len(g)}, {len(rem)}")
         _require(abs(g[-1] - 1.0) <= 1e-12, f"seed={seed}: root not monic")
         worst = max(worst, OPS["sqrtrem"].error(f, 64, (g, rem)))
@@ -361,8 +299,12 @@ def sqrt_remainder(full: bool) -> str:
 def baselines_check(full: bool) -> str:
     n = 512 if full else 256
     f = OPS["recip_schonhage"].make_input(11, n)
-    e1 = OPS["recip_schonhage"].error(f, n, baselines.recip_schonhage(f, n, TransformLedger()))
-    g, ginv = baselines.sqrt_newton_coupled(f, n, TransformLedger())
+    led = TransformLedger()
+    e1 = OPS["recip_schonhage"].error(f, n, baselines.recip_schonhage(f, n, led))
+    expect_phases(led, baselines.recip_schonhage_schedule(n), f"recip_schonhage n={n}")
+    led = TransformLedger()
+    g, ginv = baselines.sqrt_newton_coupled(f, n, led)
+    expect_phases(led, baselines.sqrt_newton_coupled_schedule(n), f"sqrt_newton_coupled n={n}")
     e2 = OPS["sqrt_newton_coupled"].error(f, n, (g, ginv))
     e3 = _max_abs(_recip_residual(g, ginv, n))
     worst = max(e1, e2, e3)
@@ -420,7 +362,6 @@ CHECKS = [
     ("recip-correctness", recip_correctness),
     ("sqrt-step-identity", sqrt_step_identity),
     ("recip-structure", recip_structure),
-    ("third-order-identity", third_order_identity),
     ("sqrt-remainder", sqrt_remainder),
     ("baselines", baselines_check),
     ("real-input", real_input),

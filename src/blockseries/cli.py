@@ -161,9 +161,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
             _write_coeffs(g, out, f"sqrtrem root of degree-{len(f) - 1} input")
             if out is None:
                 click.echo("# remainder")
-                click.echo("\n".join(_format_coeff(c) for c in rem))
-            else:
-                _write_coeffs(rem, f"{out}.rem", "sqrtrem remainder")
+            _write_coeffs(rem, None if out is None else f"{out}.rem", "sqrtrem remainder")
             label = f"op=sqrtrem deg={len(f) - 1}"
         else:
             _write_coeffs(result, out, f"{op} to order {n}")

@@ -6,10 +6,10 @@ unit of k: 1 for the square root (r = k blocks), 3 for the reciprocal
 (3s blocks, s = k).  Its predicted time is the sum of
 
 * its main transforms, exactly 4k - 3 (square root) or 13k - 3 (reciprocal)
-  of length 2m, each with a fixed glue cost;
+  of length 2m, each with a fixed glue cost, counted from schedule(k, m);
 * every transform of its length-m doubling base case, each at its own
-  length, from the per-length counts that the base case's companion
-  ``baselines.*_transforms(m)`` returns for the schedule it runs;
+  length, from base_schedule(m), which the base case's companion
+  ``baselines.*_schedule(m)`` builds from the step iterator it runs;
 * the spectral accumulation between transforms: k(k-1)/2 (square root) or
   k(9k+1)/2 (reciprocal) multiply-adds of length-2m spectra (m + 1 bins for
   a real series), which grows like k * n.
@@ -23,7 +23,6 @@ plan's own block count returns that plan.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -75,24 +74,27 @@ class Scheme:
 
     unit: int  # blocks per unit of the block parameter
     max_blocks: int
-    transforms: Callable[[int], tuple[int, int]]  # (forward, inverse) of length 2m
+    schedule: Callable[[int, int], list[tuple[int, str, int]]]  # (k, m) -> main ledger's runs
     accumulate_passes: Callable[[int], int]
-    base_transforms: Callable[[int], Counter]  # base case's transforms per length
+    base_schedule: Callable[[int], list[tuple[int, str, int]]]  # m -> base case's runs
 
 
 SQRT = Scheme(
     unit=1,
     max_blocks=32,
-    transforms=lambda r: (2 * r - 1, 2 * r - 2),
+    # g0_inv; then per new block: the previous block, the overshoot, the defect, the update.
+    schedule=lambda r, m: [(2 * m, "F", 1), (2 * m, "FIFI", r - 1)],
     accumulate_passes=lambda r: r * (r - 1) // 2,
-    base_transforms=baselines.sqrt_newton_coupled_transforms,
+    base_schedule=baselines.sqrt_newton_coupled_schedule,
 )
 RECIP = Scheme(
     unit=3,
     max_blocks=16,
-    transforms=lambda s: (7 * s - 1, 6 * s - 2),
+    # g0 and the 3s input blocks; division; low defect and fused pass; update.
+    schedule=lambda s, m: [(2 * m, "F", 3 * s + 1), (2 * m, "IFIF", s - 1), (2 * m, "IF", 2 * s),
+                           (2 * m, "I", 2 * s)],
     accumulate_passes=lambda s: s * (9 * s + 1) // 2,
-    base_transforms=baselines.recip_schonhage_transforms,
+    base_schedule=baselines.recip_schonhage_schedule,
 )
 
 
@@ -112,7 +114,10 @@ def transform_ns(length: int) -> float:
 @lru_cache(maxsize=BASE_CACHE_SIZE)
 def base_case_ns(scheme: Scheme, m: int) -> float:
     """Predicted transform time of the length-m doubling base case."""
-    return sum(c * transform_ns(length) for length, c in scheme.base_transforms(m).items())
+    counts: dict[int, int] = {}  # per length in first-seen order: the sum's order is fixed
+    for length, kinds, times in scheme.base_schedule(m):
+        counts[length] = counts.get(length, 0) + len(kinds) * times
+    return sum(c * transform_ns(length) for length, c in counts.items())
 
 
 def block_size(scheme: Scheme, n: int, blocks: int) -> int:
@@ -122,7 +127,10 @@ def block_size(scheme: Scheme, n: int, blocks: int) -> int:
 def predicted_ns(scheme: Scheme, n: int, blocks: int) -> float:
     """Predicted time of the iteration with this block count, base case included."""
     m = block_size(scheme, n, blocks)
-    main = sum(scheme.transforms(blocks)) * (transform_ns(2 * m) + GLUE_NS)
+    count = 0  # a loop, not a generator: this runs max_blocks times per new n
+    for _, kinds, times in scheme.schedule(blocks, m):
+        count += len(kinds) * times
+    main = count * (transform_ns(2 * m) + GLUE_NS)
     accumulate = scheme.accumulate_passes(blocks) * (ACCUMULATE_NS + ACCUMULATE_POINT_NS * 2 * m)
     return main + base_case_ns(scheme, m) + accumulate
 

@@ -58,6 +58,15 @@ class TransformLedger:
 
     record: list[int] = field(default_factory=list)
 
+    @classmethod
+    def of(cls, schedule) -> TransformLedger:
+        """The ledger a schedule records.  A schedule is runs (length, kinds, times):
+        kinds spells transforms of that length, F forward and I inverse, and the
+        run repeats it times times."""
+        sign = {"F": 1, "I": -1}
+        return cls([sign[kind] * length for length, kinds, times in schedule
+                    for _ in range(times) for kind in kinds])
+
     @property
     def forward(self) -> Counter:
         """Forward transforms by length, in first-seen order."""

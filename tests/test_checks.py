@@ -7,14 +7,13 @@ from blockseries import checks, transform
 
 NAMES = [name for name, _ in checks.CHECKS]
 
-# Checks that compare no FFT output with a value (counts, schoolbook
-# arithmetic, cost sums, repeatability, exact realness, which the fault keeps:
+# Checks that compare no FFT output with a value (counts, cost sums,
+# repeatability, exact realness, which the fault keeps:
 # it swaps two forward bins before the Hermitian fill and two real inverse
 # coefficients), so transforms corrupted at their boundary pass them.
 SURVIVE_FAULT = {
     "sqrt-counts",
     "recip-counts",
-    "third-order-identity",
     "cost-crossover",
     "determinism",
     "real-input",

@@ -18,16 +18,24 @@ COUNT_NS = [1, 2, 4, 17, 999, 4097, 2**16]
 # Largest explicit block count per op: ceil(n / unit) blocks of size 1, where
 # sqrtrem plans the square root of n + 1 coefficients.
 BLOCK_LIMIT = {"sqrt": lambda n: n, "recip": lambda n: -(-n // 3), "sqrtrem": lambda n: n + 1}
+SCHEME = {"sqrt": planner.SQRT, "recip": planner.RECIP, "sqrtrem": planner.SQRT}
 
 
 def check_op(op, n, f, blocks=None):
-    """Run op at its plan; the ledger must hold its exact phase split."""
+    """Run op at its plan; the main and base ledgers must hold their schedules."""
     spec = OPS[op]
     plan = spec.plan(n, blocks)
-    led = TransformLedger()
-    out = spec.run(spec.fn, f, n, led, blocks, None)
-    expect_phases(led, op, plan.blocks, plan.block_size, f"{op} n={n} blocks={blocks}")
+    led, base = TransformLedger(), TransformLedger()
+    out = spec.run(spec.fn, f, n, led, blocks, base)
+    where = f"{op} n={n} blocks={blocks}"
+    expect_phases(led, spec.schedule(plan.blocks, plan.block_size), where)
+    expect_phases(base, SCHEME[op].base_schedule(plan.block_size), f"{where} base case")
     return out
+
+
+def tallies(schedule):
+    led = TransformLedger.of(schedule)
+    return sum(led.forward.values()), sum(led.inverse.values())
 
 
 class TestPlanner:
@@ -49,11 +57,20 @@ class TestPlanner:
         ids=["sqrt", "recip"],
     )
     def test_base_case_runs_the_modelled_schedule(self, scheme, run):
-        # The planner prices exactly the transforms the base case performs.
+        # The planner prices exactly the transforms the base case performs, in order.
         for m in [1, 2, 3, 5, 64, 96, 1000]:
             led = TransformLedger()
             run(conditioned_series(m, m), m, led)
-            assert led.forward + led.inverse == scheme.base_transforms(m), m
+            assert led.record == TransformLedger.of(scheme.base_schedule(m)).record, m
+
+    def test_schedules_hold_the_paper_counts(self):
+        # Closed forms of the (forward, inverse) tallies; no op runs here.
+        m = 7
+        for k in range(1, planner.SQRT.max_blocks + 1):
+            assert tallies(OPS["sqrt"].schedule(k, m)) == (2 * k - 1, 2 * k - 2), k
+            assert tallies(OPS["sqrtrem"].schedule(k, m)) == (2 * k, 3 * k - 2), k
+        for k in range(1, planner.RECIP.max_blocks + 1):
+            assert tallies(OPS["recip"].schedule(k, m)) == (7 * k - 1, 6 * k - 2), k
 
     def test_plan_cache_bounded(self):
         assert planner._cheapest_blocks.cache_info().maxsize == planner.PLAN_CACHE_SIZE

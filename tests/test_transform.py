@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -357,6 +358,18 @@ class TestLedger:
         assert list(led.forward.items()) == [(2, 2), (4, 1)]  # first-seen order
         assert list(led.inverse.items()) == [(4, 1), (2, 1)]
         assert led.total() == 5
+
+    def test_of_schedule(self):
+        empty = TransformLedger.of([])
+        assert empty.record == [] and empty.total() == 0 and empty.weighted_cost() == 0.0
+        assert not empty.forward and not empty.inverse
+        led = TransformLedger.of([(4, "FFI", 2), (6, "I", 1), (8, "F", 0), (2, "IF", 1)])
+        assert led.record == [4, 4, -4, 4, 4, -4, -6, -2, 2]
+        assert list(led.forward.items()) == [(4, 4), (2, 1)]
+        assert list(led.inverse.items()) == [(4, 2), (6, 1), (2, 1)]
+        assert led.total() == 9
+        assert led.weighted_cost() == pytest.approx(6 * 4 * 2 + 6 * math.log2(6) + 2 * 2 * 1)
+        assert led.since(3).record == led.record[3:]
 
     def test_weighted_cost(self):
         led = TransformLedger()
