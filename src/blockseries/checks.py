@@ -279,21 +279,33 @@ def recip_structure(full: bool) -> str:
                                         f"division identity error {worst_div:.3e}")
 
 
+# (half-degree, block count) of sqrt_rem per way it forms the remainder's
+# part of the square: the gap fill below r*m (r = 3, m = 24, slack 7); block
+# r-1 plus the top of the last block's own square (r = 2, m = 48, slack 16);
+# block r-1 alone (r = 4, m = 16, slack 15).
+REMAINDER_CASES = ((64, None), (79, None), (48, 4))
+
+
 def sqrt_remainder(full: bool) -> str:
-    """Degree-128 monic splits: shape, residual, and the +1F +rI extra cost."""
-    plan = rem_params(64)
-    r, m = plan.blocks, plan.block_size
-    worst = 0.0
-    for seed in range(10 if full else 5):
-        f = random_monic(seed, 128)
-        led = TransformLedger()
-        g, rem = sqrt_rem(f, led)
-        _require(led.total() == 5 * r - 2, f"seed={seed}: {led.total()} transforms, paper 5r-2")
-        expect_phases(led, OPS["sqrtrem"].schedule(r, m), f"seed={seed}")
-        _require(len(g) == 65 and len(rem) == 64, f"seed={seed}: lengths {len(g)}, {len(rem)}")
-        _require(abs(g[-1] - 1.0) <= 1e-12, f"seed={seed}: root not monic")
-        worst = max(worst, OPS["sqrtrem"].error(f, 64, (g, rem)))
-    return _require(worst <= 1e-7, f"max residual {worst:.3e} (tol 1e-7)")
+    """Monic splits on each remainder path: shape, residual, and the +1F +rI
+    extra cost."""
+    errors = {n: [] for n, _ in REMAINDER_CASES}
+    for n, blocks in REMAINDER_CASES:
+        plan = rem_params(n, blocks)
+        r, m = plan.blocks, plan.block_size
+        for seed in range(10 if full else 5):
+            f = random_monic(seed, 2 * n)
+            led = TransformLedger()
+            g, rem = sqrt_rem(f, led, blocks=blocks)
+            where = f"n={n} seed={seed}"
+            _require(led.total() == 5 * r - 2, f"{where}: {led.total()} transforms, paper 5r-2")
+            expect_phases(led, OPS["sqrtrem"].schedule(r, m), where)
+            _require(len(g) == n + 1 and len(rem) == n, f"{where}: lengths {len(g)}, {len(rem)}")
+            _require(abs(g[-1] - 1.0) <= 1e-12, f"{where}: root not monic")
+            errors[n].append(OPS["sqrtrem"].error(f, n, (g, rem)))
+    worst = {n: float(np.max(e)) for n, e in errors.items()}  # np.max keeps a NaN
+    detail = ", ".join(f"n={n} {w:.3e}" for n, w in worst.items())
+    return _require(all(w <= 1e-7 for w in worst.values()), f"max residual {detail} (tol 1e-7)")
 
 
 def baselines_check(full: bool) -> str:

@@ -61,3 +61,47 @@ def random_monic(seed: int, degree: int) -> np.ndarray:
     f[:degree] = rng.uniform(-0.25, 0.25, degree)
     f[degree] = 1.0
     return f
+
+
+def sparse_dyadic_square(
+    seed: int, n: int, terms: int = 8, keep: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) with g = 1 + a few +-2^-10 x^j, 0 < j < n, and f = g^2 to keep
+    coefficients (default n).
+
+    Every coefficient of g^2 is a short sum of dyadic numbers far from 2^52,
+    so f is exact in floating point and g is the exact square root.
+    """
+    rng = np.random.default_rng(seed)
+    pos = rng.choice(np.arange(1, n), terms, replace=False)
+    g = np.zeros(n)
+    g[0] = 1.0
+    g[pos] = rng.choice([-1.0, 1.0], terms) * 2.0**-10
+    keep = n if keep is None else keep
+    f = np.zeros(keep)
+    support = np.flatnonzero(g)
+    for i in support:
+        for j in support[support < keep - i]:
+            f[i + j] += g[i] * g[j]
+    return f, g
+
+
+def sparse_dyadic_split(
+    seed: int, half_degree: int, terms: int = 8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, g, rem): monic f of degree 2n equal to g^2 + rem exactly.
+
+    g is monic of degree n with a few +-2^-10 coefficients below the leading
+    one, and rem has degree < n with `terms` entries +-2^-10.  As in
+    sparse_dyadic_square, every coefficient of f is exact in floating point,
+    so (g, rem) is the exact split that sqrt_rem must return.
+    """
+    n = half_degree
+    square, root = sparse_dyadic_square(seed, n + 1, terms, keep=2 * n + 1)
+    rng = np.random.default_rng([seed, 1])
+    count = min(terms, n)
+    rem = np.zeros(n)
+    rem[rng.choice(n, count, replace=False)] = rng.choice([-1.0, 1.0], count) * 2.0**-10
+    f = square[::-1].copy()
+    f[:n] += rem
+    return f, root[::-1].copy(), rem

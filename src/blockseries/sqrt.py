@@ -8,6 +8,15 @@ overshoot's correction, plus one forward for the newest root block and one
 inverse for the update product.  Over `blocks` blocks the total is exactly
 4*blocks - 3 transforms (2(blocks-1)+1 forward, 2(blocks-1) inverse) beyond
 the base case.
+
+The square root with remainder runs that iteration on the reversed
+polynomial with r blocks and adds one forward transform (the last root
+block) and r inverses, each forming one whole block of the truncated root's
+square.  The remainder reads that square between the last `slack` padding
+coefficients of block r-1 and the first `top` coefficients of block 2r-1;
+the r inverses form blocks r..2r-1 or r-1..2r-2, and the end piece they miss
+is formed directly at O(min(slack, top)^2) cost (Mulders, AAECC 2000, on
+computing only the needed part of a product).
 """
 
 from __future__ import annotations
@@ -126,10 +135,15 @@ def sqrt_rem(
     """Split a monic polynomial of degree 2n as f = g^2 + rem, deg g = n.
 
     Works on the reversed polynomial: its series square root to n+1
-    coefficients, reversed back, is g.  The high part of that root's square,
-    needed for the remainder, reuses the block spectra retained from the
-    iteration: one extra forward transform (the final block, never
-    transformed by the iteration itself) and one extra inverse per block.
+    coefficients, reversed back, is g.  The remainder is the reversed input
+    minus the square of that root on coefficients n+1..2n, which reuses the
+    block spectra retained from the iteration: one extra forward transform
+    (the final block, never transformed by the iteration itself) and r
+    inverses.  With slack = r*m - (n+1) and top = m - 2*slack - 1, they form
+    blocks r..2r-1 of the square when top >= slack, and the gap below r*m
+    comes from 2 * root * tail (slack^2 work).  Otherwise they form blocks
+    r-1..2r-2, and the first top coefficients of block 2r-1, if any, come
+    from the last root block's own square (top^2 work).
 
     Returns (g, rem) with len(g) = n + 1, g monic, len(rem) = n.
     """
@@ -142,6 +156,11 @@ def sqrt_rem(
     half_deg = (len(f) - 1) // 2
     ncoeff = half_deg + 1
     rev = f[::-1]
+    # The outputs are allocated before the work arrays below, so that they do
+    # not sit amid the space those free on return; allocated last, they left
+    # the heap fragmented and raised the peak memory of later large arrays.
+    g = np.empty(ncoeff, dtype=np.complex128)
+    rem = np.empty(half_deg, dtype=np.complex128)
 
     plan = rem_params(half_deg, blocks)
     m, r = plan.block_size, plan.blocks
@@ -151,30 +170,38 @@ def sqrt_rem(
     root, cache = _sqrt_blocks(fs, g0, g0_inv, r, ledger)
 
     # Truncate the series root to the polynomial part (degree n in reverse)
-    # in its store, keeping the discarded tail for the remainder completion.
+    # in its store, keeping the discarded tail for the gap fill.
     flat = root.rows.reshape(-1)
     tail = flat[ncoeff:].copy()
     flat[ncoeff:] = 0.0
+    # The r inverses form blocks first..first+r-1 of root^2, leaving the
+    # cheaper of the two end pieces to form directly (see the docstring).
     slack = r * m - ncoeff
+    top = m - 2 * slack - 1
+    first = r if top >= slack else r - 1
     # The one forward transform the iteration never performed.
     cache.ensure(r - 1, ledger)
-    # Blocks r..2r-1 of the truncated root's square: one inverse each.
-    high = [product_block(cache, cache, j, ledger) for j in range(r, 2 * r)]
-    square_high = np.concatenate(high)
 
     # diff = reversed(f) - root^2 on indices ncoeff..2*half_deg.
-    # Below r*m the square was never formed; there the identity
-    # rev - root^2 = 2 * root * tail (mod x^{r*m}) fills the gap exactly.
-    diff = np.zeros(2 * half_deg + 1, dtype=np.complex128)
-    if slack:
-        gap = 2.0 * np.convolve(tail, flat[:slack])[:slack]
-        end = min(r * m, 2 * half_deg + 1)
-        diff[ncoeff:end] = gap[: end - ncoeff]
-    hi_start = r * m
-    if hi_start <= 2 * half_deg:
-        lim = 2 * half_deg + 1 - hi_start
-        diff[hi_start:] = rev[hi_start:] - square_high[:lim]
+    end = 2 * half_deg + 1
+    diff = np.zeros(end, dtype=np.complex128)
+    for j in range(first, first + r):
+        block = product_block(cache, cache, j, ledger)
+        lo, hi = max(j * m, ncoeff), min((j + 1) * m, end)
+        if lo < hi:
+            np.subtract(rev[lo:hi], block[lo - j * m : hi - j * m], out=diff[lo:hi])
+    if first == r and slack:
+        # Below r*m the square was never formed; there the identity
+        # rev - root^2 = 2 * root * tail (mod x^{r*m}) fills the gap exactly.
+        hi = min(r * m, end)
+        diff[ncoeff:hi] = 2.0 * np.convolve(tail, flat[:slack])[: hi - ncoeff]
+    elif first < r and top > 0:
+        # Block 2r-1 is the high part of the last block's own square, which
+        # only its coefficients from slack + 1 on reach.
+        w = flat[(r - 1) * m + slack + 1 : ncoeff]
+        lo = (2 * r - 1) * m
+        np.subtract(rev[lo:], np.convolve(w, w)[top - 1 :], out=diff[lo:])
 
-    g = flat[:ncoeff][::-1].copy()
-    rem = diff[ncoeff:][::-1].copy()
+    g[:] = flat[:ncoeff][::-1]
+    rem[:] = diff[ncoeff:][::-1]
     return g, rem

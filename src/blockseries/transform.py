@@ -31,6 +31,7 @@ result of length >= 6, the forward before its Hermitian fill.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -104,23 +105,19 @@ def is_supported(n: int) -> bool:
     return n == 1
 
 
+# Every supported length up to 2^64, ascending; longer ones cannot be allocated.
+_SUPPORTED = sorted(
+    p3 << a for p3 in (3**b for b in range(41)) for a in range(((1 << 64) // p3).bit_length())
+)
+
+
 def next_supported(n: int) -> int:
     """Smallest supported (3-smooth) length >= n."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    best: int | None = None
-    p3 = 1
-    while True:
-        if p3 >= n:
-            cand = p3
-        else:
-            q = -(-n // p3)
-            cand = p3 << (q - 1).bit_length()
-        if best is None or cand < best:
-            best = cand
-        if p3 >= best:
-            return best
-        p3 *= 3
+    if n > _SUPPORTED[-1]:
+        raise ValueError(f"length {n} is above 2^64")
+    return _SUPPORTED[bisect_left(_SUPPORTED, n)]
 
 
 # Primitive cube root of unity, positive orientation, and the radix-3

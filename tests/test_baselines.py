@@ -5,26 +5,7 @@ import pytest
 
 from blockseries import TransformLedger, next_supported, recip_schonhage, sqrt_newton_coupled
 from blockseries import oracle
-from blockseries.corpus import conditioned_series
-
-
-def sparse_dyadic_square(seed, n, terms=8):
-    """(f, g) with g = 1 + a few +-2^-10 x^j, j < n, and f = g^2 to n coefficients.
-
-    Every coefficient of g^2 is a short sum of dyadic numbers far from 2^52,
-    so f is exact in floating point and g is the exact square root.
-    """
-    rng = np.random.default_rng(seed)
-    pos = rng.choice(np.arange(1, n), terms, replace=False)
-    g = np.zeros(n)
-    g[0] = 1.0
-    g[pos] = rng.choice([-1.0, 1.0], terms) * 2.0**-10
-    f = np.zeros(n)
-    support = np.flatnonzero(g)
-    for i in support:
-        for j in support[support < n - i]:
-            f[i + j] += g[i] * g[j]
-    return f, g
+from blockseries.corpus import conditioned_series, sparse_dyadic_square
 
 
 def np_product(a, b, keep):

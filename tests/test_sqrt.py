@@ -12,8 +12,16 @@ from blockseries import (
     sqrt_rem,
 )
 from blockseries import oracle
-from blockseries.corpus import conditioned_series, random_monic, random_series
+from blockseries.bench import OPS
+from blockseries.corpus import (
+    conditioned_monic,
+    conditioned_series,
+    random_monic,
+    random_series,
+    sparse_dyadic_split,
+)
 from blockseries.plan import SQRT, predicted_ns
+from blockseries.sqrt import rem_params
 
 
 def oracle_base(f_block, m):
@@ -167,3 +175,82 @@ class TestSqrtRem:
             sqrt_rem(np.array([1.0, 0.0, 0.0, 1.0]), TransformLedger())
         with pytest.raises(ValueError, match="degree"):
             sqrt_rem(np.array([1.0]), TransformLedger())
+
+
+def rem_branch(n, blocks=None):
+    """Which end piece sqrt_rem forms directly at half-degree n: with slack
+    padding coefficients in the last of r blocks of size m, the remainder
+    reads the last slack coefficients of block r-1 and the first
+    top = m - 2*slack - 1 of block 2r-1."""
+    plan = rem_params(n, blocks)
+    slack = plan.blocks * plan.block_size - (n + 1)
+    top = plan.block_size - 2 * slack - 1
+    if slack == 0:
+        return "no slack"
+    if top >= slack:
+        return "gap"
+    return "block r-1 and top" if top > 0 else "block r-1"
+
+
+def oracle_split(f, n):
+    """(g, rem) of a monic degree-2n f by the O(n^2) recurrence on its reversal."""
+    g = oracle.sqrt_recurrence(f[::-1], n + 1)[::-1]
+    return g, (f - oracle.mul_schoolbook(g, g))[:n]
+
+
+class TestSqrtRemBranches:
+    """One case per way of forming the remainder's part of the square."""
+
+    @pytest.mark.parametrize("n,blocks,branch", [
+        (3, None, "no slack"),
+        (10, None, "gap"),
+        (12, None, "block r-1 and top"),
+        (3072, 4, "block r-1 and top"),
+        (48, 4, "block r-1"),
+    ])
+    def test_matches_oracle(self, n, blocks, branch):
+        assert rem_branch(n, blocks) == branch
+        plan = rem_params(n, blocks)
+        for seed in range(3):
+            f = conditioned_monic(seed, 2 * n)
+            if seed == 2:
+                f[:-1] = f[:-1] + 0.5j * f[:-1]  # complex coefficients
+            want_g, want_rem = oracle_split(f, n)
+            led = TransformLedger()
+            g, rem = sqrt_rem(f, led, blocks=blocks)
+            assert led.record == TransformLedger.of(
+                OPS["sqrtrem"].schedule(plan.blocks, plan.block_size)).record
+            assert np.abs(g - want_g).max() <= 1e-12
+            assert np.abs(rem - want_rem).max() <= 1e-12
+
+    def test_block_r_minus_one_needs_no_convolve(self, monkeypatch):
+        # r = 4, m = 16, slack = 15: block 2r-1 lies above degree 2n.
+        n = 48
+        f = conditioned_monic(4, 2 * n)
+        want_g, want_rem = oracle_split(f, n)
+
+        def no_convolve(*args, **kwargs):
+            raise AssertionError("np.convolve called")
+
+        monkeypatch.setattr(np, "convolve", no_convolve)
+        g, rem = sqrt_rem(f, TransformLedger(), blocks=4)
+        monkeypatch.undo()
+        assert np.abs(g - want_g).max() <= 1e-12
+        assert np.abs(rem - want_rem).max() <= 1e-12
+
+
+class TestSqrtRemKnownAnswer:
+    """f = g^2 + rem with sparse dyadic g and rem is exact in floating point,
+    so sqrt_rem's output is compared with the true split, not with a
+    residual.  Every nonzero coefficient of g below its leading one and of rem
+    is a multiple of 2^-20.  The error measured at these sizes is below 1e-18
+    (3e-17 over seeds 1-3 at half-degrees 3072..2^18), so the tolerance of
+    1e-15 is loose against round-off and still catches any wrong coefficient."""
+
+    @pytest.mark.parametrize("n,branch", [(2**18, "block r-1"), (2**16, "gap")])
+    def test_known_split(self, n, branch):
+        assert rem_branch(n) == branch
+        f, want_g, want_rem = sparse_dyadic_split(7, n)
+        g, rem = sqrt_rem(f, TransformLedger())
+        assert np.abs(g - want_g).max() <= 1e-15
+        assert np.abs(rem - want_rem).max() <= 1e-15

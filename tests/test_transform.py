@@ -331,6 +331,14 @@ class TestSupportedSizes:
         smooth = all_supported_up_to(2000)
         for n in [1, 2, 7, 13, 97, 100, 1000, 1537]:
             assert next_supported(n) == min(s for s in smooth if s >= n)
+        assert [next_supported(n) for n in range(1, 1945)] == [
+            min(s for s in smooth if s >= n) for n in range(1, 1945)
+        ]
+
+    def test_large_lengths(self):
+        smooth = [2**a * 3**b for a in range(70) for b in range(45)]
+        for n in (2**30 + 1, 10**12, 2**60 + 1, 3**40 + 1, 2**64 - 1, 2**64):
+            assert next_supported(n) == min(s for s in smooth if s >= n)
 
     def test_closed_under_doubling(self):
         for n in all_supported_up_to(512):
@@ -339,6 +347,8 @@ class TestSupportedSizes:
     def test_invalid(self):
         with pytest.raises(ValueError):
             next_supported(0)
+        with pytest.raises(ValueError, match="above 2\\^64"):
+            next_supported(2**64 + 1)
         assert not is_supported(0)
         assert not is_supported(10)
 
