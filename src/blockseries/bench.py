@@ -42,23 +42,23 @@ def _doubling(fn, f, n, ledger, blocks, base):
     return fn(f, n, ledger)
 
 
-def _max_abs(x) -> float:
-    return float(np.abs(x).max())
+def max_abs(x) -> float:
+    return float(np.abs(x).max()) if len(x) else 0.0
 
 
 def _sqrt_error(f, n, g) -> float:
-    return _max_abs(g - oracle.sqrt_recurrence(f, n))
+    return max_abs(g - oracle.sqrt_recurrence(f, n))
 
 
 def _recip_error(f, n, g) -> float:
-    return _max_abs(g - oracle.recip_recurrence(f, n))
+    return max_abs(g - oracle.recip_recurrence(f, n))
 
 
 def _remainder_error(f, n, out) -> float:
     g, rem = out
     resid = f - oracle.mul_schoolbook(g, g)
     resid[:n] -= rem
-    return _max_abs(resid)
+    return max_abs(resid)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transform import (
-    TransformLedger,
-    forward,
-    inverse,
-    is_supported,
-)
+from .transform import TransformLedger, as_series, forward, inverse, is_supported
 
 
 class MissingSpectrumError(LookupError):
@@ -59,7 +54,7 @@ class BlockSeries:
 
     def append(self, block) -> None:
         """Add the next block, zero-padded to the block size."""
-        block = np.asarray(block, dtype=np.complex128)
+        block = as_series(block)
         if len(block) > self.block_size:
             raise ValueError("block longer than block size")
         if self.num_blocks == self.capacity:
@@ -82,7 +77,7 @@ def decompose(f, block_size: int, num_blocks: int) -> BlockSeries:
     dropped.  This is where the blockwise entry points pad their input and
     decide, from the kept coefficients, whether the series is real.
     """
-    f = np.asarray(f, dtype=np.complex128)[: num_blocks * block_size]
+    f = as_series(f)[: num_blocks * block_size]
     series = BlockSeries(block_size, num_blocks, real=not np.count_nonzero(f.imag))
     series.rows.reshape(-1)[: len(f)] = f
     series.num_blocks = num_blocks

@@ -16,17 +16,12 @@ import time
 import numpy as np
 
 from . import baselines, oracle
-from .bench import OPS, run_case
+from .bench import OPS, max_abs, run_case
 from .blockwise import TransformCache, combined_block, decompose, product_block
 from .corpus import random_monic, random_series
 from .recip import recip_block_iter
 from .sqrt import rem_params, sqrt_block_iter, sqrt_rem
-from .transform import (
-    TransformLedger,
-    forward,
-    inverse,
-    next_supported,
-)
+from .transform import TransformLedger, forward, inverse, is_supported, next_supported
 
 # Sizes of the 20-seed correctness corpus that full mode adds.
 CORPUS_SIZES = (16, 100, 512, 1024)
@@ -38,10 +33,6 @@ def _require(ok: bool, message: str) -> str:
     if not ok:
         raise AssertionError(message)
     return message
-
-
-def _max_abs(x) -> float:
-    return float(np.abs(x).max()) if len(x) else 0.0
 
 
 def block_of(coeffs, k: int, m: int) -> np.ndarray:
@@ -64,47 +55,48 @@ def expect_phases(ledger: TransformLedger, schedule, where: str) -> None:
 def transform_roundtrip(full: bool) -> str:
     sizes = [2, 3, 6, 8, 12, 27, 96, 108, 729, 1536]
     if full:
-        sizes += [4096, 6561, 9216, 16384]
+        sizes = [n for n in range(1, 2**14 + 1) if is_supported(n)]
     rng = np.random.default_rng(0)
     worst = 0.0
     led = TransformLedger()
     for n in sizes:
         p = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        worst = max(worst, _max_abs(inverse(forward(p, n, led), led) - p))
+        worst = max(worst, max_abs(inverse(forward(p, n, led), led) - p))
     return _require(worst <= 1e-10, f"max roundtrip error {worst:.3e} (tol 1e-10)")
 
 
 def transform_identities(full: bool) -> str:
     led = TransformLedger()
     errs = [
-        _max_abs(forward([1], 2, led) - [1, 1]),
-        _max_abs(forward([0, 1], 2, led) - [1, -1]),
-        _max_abs(forward([1, 2, 3, 4], 4, led) - [10, -2 - 2j, -2, -2 + 2j]),
+        max_abs(forward([1], 2, led) - [1, 1]),
+        max_abs(forward([0, 1], 2, led) - [1, -1]),
+        max_abs(forward([1, 2, 3, 4], 4, led) - [10, -2 - 2j, -2, -2 + 2j]),
     ]
-    for m in [1, 2, 3, 6, 9, 16, 24]:
+    for m in [1, 2, 3, 6, 9, 16, 24] + ([4, 81, 128] if full else []):
         x = np.zeros(m + 1)
         x[m] = 1.0
         alt = np.where(np.arange(2 * m) % 2, -1.0, 1.0)
-        errs.append(_max_abs(forward(x, 2 * m, led) - alt))
+        errs.append(max_abs(forward(x, 2 * m, led) - alt))
     ok_sizes = [next_supported(k) for k in (1, 5, 8, 25, 100)] == [1, 6, 8, 27, 108]
     return _require(max(errs) <= 1e-12 and ok_sizes,
                     f"max identity error {max(errs):.3e}, sizes ok {ok_sizes}")
 
 
 def convolution_theorem(full: bool) -> str:
-    """The convolution theorem: inverse(forward(g1) * forward(g2)) is g1*g2 mod x^n - 1."""
+    """The convolution theorem: inverse(forward(g1) * forward(g2)) is g1*g2 mod x^n - 1,
+    for two forward transforms and one inverse of length n."""
     rng = np.random.default_rng(1)
     worst = 0.0
-    led = TransformLedger()
-    for n in [2, 6, 16, 54, 96] + ([1152] if full else []):
+    for n in [2, 6, 16, 54, 96] + ([1024, 1152] if full else []):
         g1 = rng.uniform(-1, 1, n)
         g2 = rng.uniform(-1, 1, n)
+        led = TransformLedger()
         got = inverse(forward(g1, n, led) * forward(g2, n, led), led)
+        _require(led.record == [n, n, -n], f"n={n}: ledger {led.record}, want {[n, n, -n]}")
         fullp = oracle.mul_schoolbook(g1, g2)
         want = fullp[:n].copy()
         want[: n - 1] += fullp[n:]
-        tol = 1e-9 * n * max(1.0, np.abs(fullp).max())
-        worst = max(worst, _max_abs(got - want) / tol)
+        worst = max(worst, max_abs(got - want) / (1e-9 * n))
     return _require(worst <= 1.0, f"worst error/tolerance ratio {worst:.3e}")
 
 
@@ -130,22 +122,24 @@ def _block_error(f, g, fc, gc, k: int, combined: bool, led: TransformLedger) -> 
         want = block_of(oracle.mul_schoolbook(f, g), k, m)
     added = led.since(start).record
     _require(added == [-2 * m], f"m={m} k={k}: added {added}, want one inverse [{-2 * m}]")
-    return _max_abs(got - want) / (1e-9 * m * (k + 1))
+    return max_abs(got - want) / (1e-9 * m * (k + 1))
 
 
 def block_products(full: bool) -> str:
     rng = np.random.default_rng(3)
     worst, cases = 0.0, 0
     for m in [1, 2, 4, 8, 16]:
-        for nb in [1, 3, 8]:
+        for nb in [1, 3, 8] + ([4, 6] if full else []):
             led = TransformLedger()
             f = rng.uniform(-1, 1, m * nb)
             g = rng.uniform(-1, 1, m * nb)
             fc, gc = warm_caches(f, g, m, nb, led)
             for k in range(nb):
                 worst = max(worst, _block_error(f, g, fc, gc, k, False, led))
-            worst = max(worst, _block_error(f, g, fc, gc, nb - 1, True, led))
-            cases += nb + 1
+            combined = range(nb) if full else [nb - 1]
+            for k in combined:
+                worst = max(worst, _block_error(f, g, fc, gc, k, True, led))
+            cases += nb + len(combined)
     if full:
         # 200 randomized cases, product and combined blocks alternating.
         rng = np.random.default_rng(2024)
@@ -162,32 +156,28 @@ def block_products(full: bool) -> str:
     return _require(worst <= 1.0, f"{cases} cases, worst error/tolerance ratio {worst:.3e}")
 
 
-def sqrt_counts(full: bool) -> str:
+def _counts(op: str, m: int, top: int, letter: str, paper, formula: str) -> None:
+    """The op's ledger at block parameter k = 1..top, block size m, holds
+    paper(k) transforms in its schedule's order; the base case counts apart."""
     t0 = time.perf_counter()
-    m = 32
-    for r in range(1, 17):
-        fs = decompose(random_series(40 + r, r * m), m, r)
-        g0 = oracle.sqrt_recurrence(fs.blocks[0], m)
-        led = TransformLedger()
-        sqrt_block_iter(fs, g0, oracle.recip_recurrence(g0, m), r, led)
-        _require(led.total() == 4 * r - 3, f"r={r}: {led.total()} transforms, paper 4r-3")
-        expect_phases(led, OPS["sqrt"].schedule(r, m), f"r={r}")
+    spec = OPS[op]
+    for k in range(1, top + 1):
+        n, led = spec.unit * k * m, TransformLedger()
+        spec.run(spec.fn, spec.make_input(k, n), n, led, k, TransformLedger())
+        where = f"{letter}={k}"
+        _require(led.total() == paper(k), f"{where}: {led.total()} transforms, paper {formula}")
+        expect_phases(led, spec.schedule(k, m), where)
     elapsed = time.perf_counter() - t0
     _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
+
+
+def sqrt_counts(full: bool) -> str:
+    _counts("sqrt", 32, 16, "r", lambda r: 4 * r - 3, "4r-3")
     return "4r-3 transforms at 2m in phase order F (FIFI)*(r-1), r = 1..16"
 
 
 def recip_counts(full: bool) -> str:
-    t0 = time.perf_counter()
-    m = 16
-    for s in range(1, 9):
-        fs = decompose(random_series(60 + s, 3 * s * m), m, 3 * s)
-        led = TransformLedger()
-        recip_block_iter(fs, oracle.recip_recurrence(fs.blocks[0], m), s, led)
-        _require(led.total() == 13 * s - 3, f"s={s}: {led.total()} transforms, paper 13s-3")
-        expect_phases(led, OPS["recip"].schedule(s, m), f"s={s}")
-    elapsed = time.perf_counter() - t0
-    _require(elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s")
+    _counts("recip", 16, 8, "s", lambda s: 13 * s - 3, "13s-3")
     return "13s-3 transforms at 2m in phase order F*(3s+1) (IFIF)*(s-1) (IF)*2s I*2s, s = 1..8"
 
 
@@ -203,7 +193,7 @@ def _correctness(op: str, residual, sizes: list[int], full: bool) -> str:
     for n, seed in sorted(cases):
         f = spec.make_input(seed, n)
         g = spec.fn(f, n, TransformLedger())
-        err = max(spec.error(f, n, g), _max_abs(residual(f, g, n)))
+        err = max(spec.error(f, n, g), max_abs(residual(f, g, n)))
         _require(err <= 1e-8 * n, f"n={n} seed={seed}: error {err:.3e} > 1e-8*n")
         worst = max(worst, err / (1e-8 * n))
     elapsed = time.perf_counter() - t0
@@ -243,7 +233,7 @@ def sqrt_step_identity(full: bool) -> str:
             prefix = g[: k * m]
             excess = block_of(oracle.mul_schoolbook(prefix, prefix), k, m)
             lhs = 2.0 * oracle.mul_schoolbook(g0, g[k * m : (k + 1) * m])[:m]
-            worst = max(worst, _max_abs(lhs - (fs.blocks[k] - excess)))
+            worst = max(worst, max_abs(lhs - (fs.blocks[k] - excess)))
     return _require(worst <= 1e-10, f"max identity error {worst:.3e}")
 
 
@@ -266,7 +256,7 @@ def recip_structure(full: bool) -> str:
         defect = oracle.mul_schoolbook(np.concatenate(fs.blocks), inv_low)[s * m : 3 * s * m]
         corr = -defect[: 2 * s * m]
         corr[s * m :] += oracle.mul_schoolbook(defect[: s * m], defect[: s * m])[: s * m]
-        err = _max_abs(g[s * m :] - oracle.mul_schoolbook(inv_low, corr)[: 2 * s * m])
+        err = max_abs(g[s * m :] - oracle.mul_schoolbook(inv_low, corr)[: 2 * s * m])
         _require(err <= tol, f"s={s}: correction error {err:.3e} > {tol:g}")
         worst_corr = max(worst_corr, err)
 
@@ -274,7 +264,7 @@ def recip_structure(full: bool) -> str:
         for k in range(1, s):
             partial = oracle.mul_schoolbook(np.concatenate(fs.blocks[: k + 1]), inv_low[: k * m])
             lhs = oracle.mul_schoolbook(fs.blocks[0], g[k * m : (k + 1) * m])[:m]
-            worst_div = max(worst_div, _max_abs(lhs + block_of(partial, k, m)))
+            worst_div = max(worst_div, max_abs(lhs + block_of(partial, k, m)))
     return _require(worst_div <= 1e-10, f"correction error {worst_corr:.3e}, "
                                         f"division identity error {worst_div:.3e}")
 
@@ -309,18 +299,20 @@ def sqrt_remainder(full: bool) -> str:
 
 
 def baselines_check(full: bool) -> str:
-    n = 512 if full else 256
-    f = OPS["recip_schonhage"].make_input(11, n)
-    led = TransformLedger()
-    e1 = OPS["recip_schonhage"].error(f, n, baselines.recip_schonhage(f, n, led))
-    expect_phases(led, baselines.recip_schonhage_schedule(n), f"recip_schonhage n={n}")
-    led = TransformLedger()
-    g, ginv = baselines.sqrt_newton_coupled(f, n, led)
-    expect_phases(led, baselines.sqrt_newton_coupled_schedule(n), f"sqrt_newton_coupled n={n}")
-    e2 = OPS["sqrt_newton_coupled"].error(f, n, (g, ginv))
-    e3 = _max_abs(_recip_residual(g, ginv, n))
-    worst = max(e1, e2, e3)
-    return _require(worst <= 1e-8 * n, f"max baseline error {worst:.3e}")
+    worst = 0.0
+    for n in [256, 512] if full else [256]:
+        f = OPS["recip_schonhage"].make_input(11, n)
+        led = TransformLedger()
+        e1 = OPS["recip_schonhage"].error(f, n, baselines.recip_schonhage(f, n, led))
+        expect_phases(led, baselines.recip_schonhage_schedule(n), f"recip_schonhage n={n}")
+        led = TransformLedger()
+        g, ginv = baselines.sqrt_newton_coupled(f, n, led)
+        expect_phases(led, baselines.sqrt_newton_coupled_schedule(n), f"sqrt_newton_coupled n={n}")
+        e2 = OPS["sqrt_newton_coupled"].error(f, n, (g, ginv))
+        err = max(e1, e2, max_abs(_recip_residual(g, ginv, n)))
+        _require(err <= 1e-8 * n, f"n={n}: max baseline error {err:.3e}")
+        worst = max(worst, err)
+    return f"max baseline error {worst:.3e}"
 
 
 def real_input(full: bool) -> str:

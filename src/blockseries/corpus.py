@@ -73,6 +73,7 @@ def sparse_dyadic_square(
     so f is exact in floating point and g is the exact square root.
     """
     rng = np.random.default_rng(seed)
+    terms = min(terms, n - 1)
     pos = rng.choice(np.arange(1, n), terms, replace=False)
     g = np.zeros(n)
     g[0] = 1.0

