@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import sys
 import time
+import warnings
 
 import click
 import numpy as np
@@ -20,16 +21,6 @@ from .bench import BLOCKWISE_OPS, OPS, format_counts, run_bench
 from .recip import recip  # noqa: F401  (compute calls the entry points by name)
 from .sqrt import sqrt, sqrt_rem  # noqa: F401
 from .transform import TransformLedger
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _format_coeff(c: complex) -> str:
-    if c.imag:
-        return f"{_fmt(c.real)} {_fmt(c.imag)}"
-    return _fmt(c.real)
 
 
 def _parse_coeff_line(line: str, lineno: int, path: str) -> complex:
@@ -44,7 +35,7 @@ def _parse_coeff_line(line: str, lineno: int, path: str) -> complex:
     raise ValueError(f"{path}:{lineno}: expected `re` or `re im`, got {line!r}")
 
 
-def _read_coeff_file(path: str) -> np.ndarray:
+def _read_coeff_lines(path: str) -> np.ndarray:
     coeffs = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -52,6 +43,30 @@ def _read_coeff_file(path: str) -> np.ndarray:
             if line:
                 coeffs.append(_parse_coeff_line(line, lineno, path))
     return np.array(coeffs, dtype=np.complex128)
+
+
+def _read_coeff_file(path: str) -> np.ndarray:
+    """One bulk parse when every line has the same width; otherwise the line reader.
+
+    The line reader takes every file loadtxt refuses or warns on: mixed `re` and
+    `re im` lines (as `compute` writes complex results), more than 2 columns,
+    tokens only ``float`` accepts (``1_0``, non-ASCII digits), and files with no
+    coefficient.  It alone names ``path:lineno`` in an error.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = np.loadtxt(path, comments="#", ndmin=2)
+    except (ValueError, OSError, Warning):
+        return _read_coeff_lines(path)
+    if cols.shape[1] > 2:
+        return _read_coeff_lines(path)
+    coeffs = np.zeros(len(cols), dtype=np.complex128)
+    # Not re + 1j*im: that turns an infinite imaginary part into a NaN real part.
+    coeffs.real = cols[:, 0]
+    if cols.shape[1] == 2:
+        coeffs.imag = cols[:, 1]
+    return coeffs
 
 
 def _parse_inline_token(tok: str, pos: int) -> complex:
@@ -67,14 +82,25 @@ def _parse_inline(text: str) -> np.ndarray:
     return np.array(coeffs, dtype=np.complex128)
 
 
+def _format_coeffs(coeffs: np.ndarray) -> str:
+    """One `%.17g` line per coefficient, `re` alone where the imaginary part is zero."""
+    if not coeffs.imag.any():
+        return "%.17g\n" * len(coeffs) % tuple(coeffs.real.tolist())
+    zero_im = coeffs.imag == 0  # true for -0.0 as well
+    fmt = "".join(np.where(zero_im, "%.17g\n", "%.17g %.17g\n").tolist())
+    pairs = np.column_stack([coeffs.real, coeffs.imag])
+    keep = np.column_stack([np.ones_like(zero_im), ~zero_im])
+    return fmt % tuple(pairs[keep].tolist())
+
+
 def _write_coeffs(coeffs: np.ndarray, out: str | None, header: str) -> None:
-    lines = [_format_coeff(c) for c in coeffs]
+    text = _format_coeffs(coeffs)
     if out is None:
-        click.echo("\n".join(lines))
+        click.echo(text, nl=False)
     else:
         with open(out, "w") as fh:
             fh.write(f"# {header}\n")
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
 
 
 def _counts(table) -> str:

@@ -3,14 +3,17 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockseries
-from blockseries import oracle
+from blockseries import cli, oracle
 from blockseries.cli import main
 from blockseries.corpus import conditioned_monic, conditioned_series
 
@@ -18,6 +21,14 @@ from blockseries.corpus import conditioned_monic, conditioned_series
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def run_cli(*args):
+    """`python -m blockseries.cli` in a process of its own, as a user runs it:
+    outside pytest's warning filters, so any numpy warning reaches stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(blockseries.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "blockseries.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def parse_coeffs(text):
@@ -137,11 +148,7 @@ class TestCompute:
     @pytest.mark.parametrize("args", ["recip --coeffs 1,1e200 --n 4",
                                       "sqrt --coeffs 1,1e300 --n 64"], ids=["recip", "sqrt"])
     def test_overflow_prints_only_the_error_line(self, args):
-        # numpy's overflow warnings go to stderr outside pytest's filters, so
-        # this runs the CLI as a user does, in a process of its own.
-        env = dict(os.environ, PYTHONPATH=str(Path(blockseries.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "blockseries.cli", "compute", *args.split()],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli("compute", *args.split())
         assert proc.returncode == 1
         assert re.fullmatch(r"error: non-finite value in a length-\d+ transform input\n",
                             proc.stderr), proc.stderr
@@ -201,6 +208,137 @@ class TestCompute:
         result = runner.invoke(main, ["compute", "recip", "--in", str(src), "--n", "4"])
         assert result.exit_code == 1
         assert "bad.txt:2" in result.stderr
+
+
+# Tokens for coefficient files: what `float` reads, and what it or loadtxt refuses.
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map("{:.17g}".format),
+    st.sampled_from(["-0.0", "-0", "+0", "inf", "-inf", "+Infinity", "nan", "-nan", "NaN",
+                     "5e-324", "-2.2250738585072014e-308", "1e999", "-1E-999", ".5", "5."]),
+)
+BAD_TOKENS = st.sampled_from(["1_0", "abc", "0x10", "\u0661", "1.5.2", "1e", "nan(1)", "--1"])
+
+
+@st.composite
+def coeff_files(draw):
+    """File text with 1-column, 2-column or mixed-width data lines, comments,
+    blank lines, padding and CRLF; about a quarter of the files also carry bad
+    tokens and 3-token lines."""
+    width = draw(st.sampled_from([1, 2, "mixed"]))
+    bad = draw(st.integers(0, 3)) == 0
+    token = st.one_of(NUMBERS, BAD_TOKENS) if bad else NUMBERS
+    kinds = ["data"] * 4 + ["blank", "comment"] + (["three"] if bad else [])
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "blank":
+            lines.append(draw(pad))
+        elif kind == "comment":
+            lines.append(draw(pad) + "#" + draw(st.text("# 1.e-x", max_size=6)))
+        else:
+            w = 3 if kind == "three" else (draw(st.sampled_from([1, 2])) if width == "mixed"
+                                          else width)
+            seps = [draw(st.sampled_from([" ", "\t", "  ", " \t"])) for _ in range(w - 1)]
+            body = draw(token) + "".join(sep + draw(token) for sep in seps)
+            lines.append(draw(pad) + body + draw(pad) + draw(st.sampled_from(["", " # c", "#"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def read_outcome(read, path):
+    """The array read, as dtype, shape and bit pattern (so -0.0 and nan count), or the error."""
+    try:
+        a = read(str(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return a.dtype, a.shape, a.view(np.uint64).tobytes()
+
+
+def reference_text(coeffs):
+    """The per-coefficient format the bulk writer must reproduce byte for byte."""
+    lines = [f"{c.real:.17g} {c.imag:.17g}" if c.imag else f"{c.real:.17g}"
+             for c in coeffs.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def complex_from(re_, im):
+    coeffs = np.zeros(len(re_), dtype=np.complex128)
+    coeffs.real, coeffs.imag = re_, im
+    return coeffs
+
+
+SPECIALS = [0.0, -0.0, 1.0, -1.5, 1 / 3, 5e-324, -2.2250738585072014e-308,
+            1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+class TestCoeffFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(text=coeff_files())
+    def test_reader_matches_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("coeffs") / "f.txt"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        want = read_outcome(cli._read_coeff_lines, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may leave the reader
+            got = read_outcome(cli._read_coeff_file, path)
+        assert got == want
+
+    @pytest.mark.parametrize("text", ["1\n-0.0\ninf\n5e-324\n", "1 0\n-0.5 inf\nnan -0.0\n"],
+                             ids=["one-column", "two-column"])
+    def test_one_width_file_takes_one_bulk_parse(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        want = read_outcome(cli._read_coeff_lines, path)
+
+        def no_line_reader(path):
+            raise AssertionError("line reader called")
+
+        monkeypatch.setattr(cli, "_read_coeff_lines", no_line_reader)
+        assert read_outcome(cli._read_coeff_file, path) == want
+
+    @pytest.mark.parametrize("text", ["", "# no coefficients\n\n"], ids=["empty", "comment-only"])
+    def test_empty_file_prints_only_the_error_line(self, tmp_path, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        proc = run_cli("compute", "recip", "--in", str(path), "--n", "4")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: series must have constant term 1, got an empty series\n"
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_writer_bytes_match_per_coefficient_format(self, tmp_path, capsys, kind):
+        re_ = np.array(SPECIALS * len(SPECIALS) + np.random.default_rng(3).normal(size=50).tolist())
+        im = np.repeat(SPECIALS, len(SPECIALS)).tolist() + [0.0] * 25 + [0.25] * 25
+        if kind == "real":  # imaginary parts 0.0 and -0.0 only
+            im = np.copysign(0.0, np.sin(np.arange(len(re_))))
+        coeffs = complex_from(re_, im)
+        want = reference_text(coeffs)
+        cli._write_coeffs(coeffs, None, "header")
+        assert capsys.readouterr().out == want
+        cli._write_coeffs(coeffs, str(tmp_path / "g.txt"), "header")
+        assert (tmp_path / "g.txt").read_text() == "# header\n" + want
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_roundtrip_is_bit_exact(self, tmp_path, kind):
+        n = 2**17
+        rng = np.random.default_rng(17)
+
+        def draw():  # every binade, subnormals included
+            return np.ldexp(rng.uniform(-1, 1, n), rng.integers(-1074, 1024, n))
+
+        coeffs = complex_from(draw(), draw() if kind == "complex" else 0.0)
+        coeffs.real[:4] = [-0.0, np.inf, -np.inf, 5e-324]
+        if kind == "complex":
+            # Mixed widths: these lines print `re` alone.  So does a -0.0
+            # imaginary part, which therefore reads back as 0.0.
+            coeffs.imag[::7] = 0.0
+            coeffs.imag[coeffs.imag == 0] = 0.0
+            coeffs.imag[1] = -np.inf
+        path = tmp_path / "g.txt"
+        cli._write_coeffs(coeffs, str(path), "roundtrip")
+        back = cli._read_coeff_file(str(path))
+        assert back.view(np.uint64).tobytes() == coeffs.view(np.uint64).tobytes()
 
 
 class TestBench:

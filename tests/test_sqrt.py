@@ -122,6 +122,11 @@ class TestSqrt:
         f, want = sparse_dyadic_square(5, 2**16)
         assert np.abs(sqrt(f, 2**16, TransformLedger()) - want).max() <= 1e-15
 
+    def test_known_answer_at_two_to_the_twenty(self):
+        # Measured error 3.1e-18, as at 2^16.
+        f, want = sparse_dyadic_square(5, 2**20)
+        assert np.abs(sqrt(f, 2**20, TransformLedger()) - want).max() <= 1e-15
+
     def test_blocks_override_used(self):
         f = conditioned_series(1, 100)
         led = TransformLedger()
@@ -242,12 +247,14 @@ class TestSqrtRemKnownAnswer:
     """f = g^2 + rem with sparse dyadic g and rem is exact in floating point,
     so sqrt_rem's output is compared with the true split, not with a
     residual.  Every nonzero coefficient of g below its leading one and of rem
-    is a multiple of 2^-20.  The error measured is below 1e-18 at these sizes
-    (3e-17 over seeds 1-3 at half-degrees 3072..2^18) and at most 2.2e-16 at
-    half-degrees 1..64, so the tolerance of 1e-15 is loose against round-off
-    and still catches any wrong coefficient."""
+    is a multiple of 2^-20.  The error measured is below 3e-17 over seeds 1-3
+    at half-degrees 3072..2^18; at 2^20 (seeds 1, 2 and 7) it is 1.1e-16 in g
+    and at most 2.6e-19 in rem, and at half-degrees 1..64 at most 2.2e-16.  So
+    the tolerance of 1e-15 is loose against round-off and still catches any
+    wrong coefficient."""
 
-    @pytest.mark.parametrize("n,branch", [(2**18, "block r-1"), (2**16, "gap")])
+    @pytest.mark.parametrize("n,branch", [(2**20, "block r-1"), (2**18, "block r-1"),
+                                          (2**16, "gap")])
     def test_known_split(self, n, branch):
         assert rem_branch(n) == branch
         self.check_split(7, n)
