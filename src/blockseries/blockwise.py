@@ -150,20 +150,23 @@ def _mirror(spec: np.ndarray) -> None:
     np.conjugate(spec[m - 1 : 0 : -1], out=spec[m + 1 :])
 
 
-def _accumulate(acc: np.ndarray, f_cache, g_cache, k: int, sign: int) -> None:
+def _accumulate(acc: np.ndarray, scratch: np.ndarray, f_cache, g_cache, k: int, sign: int) -> None:
     """Add sign * (spectrum of the k-th product block, pre-inverse) to acc.
 
-    Contracts folded rows k - i of f with spectra rows i of g, over the i
-    where both are inside their series: i < len(g) and k - i <= len(f).
+    Streams folded rows k - i of f against spectra rows i of g, over the i
+    where both are inside their series: i < len(g) and k - i <= len(f).  Each
+    row product goes through scratch (acc's shape) and is added to or
+    subtracted from acc in row order, two contiguous passes per row.
     """
     lo = max(0, k - f_cache.series.num_blocks)
     hi = min(k, g_cache.series.num_blocks - 1)
     if lo <= hi:
         g_cache._require(lo, hi + 1)
         f_cache._require(k - hi - 1, k - lo + 1)
-        h = f_cache.folded[k - hi : k - lo + 1][::-1]
-        part = np.einsum("ij,ij->j", h, g_cache.spectra[lo : hi + 1])
-        acc += part if sign > 0 else -part
+        update = np.add if sign > 0 else np.subtract
+        for i in range(lo, hi + 1):
+            np.multiply(f_cache.folded[k - i], g_cache.spectra[i], out=scratch)
+            update(acc, scratch, out=acc)
 
 
 def product_block(
@@ -192,6 +195,7 @@ def combined_block(terms, ledger: TransformLedger) -> np.ndarray:
     m, real = first.block_size, first.series.real
     acc = np.zeros(2 * m, dtype=np.complex128)
     head = acc[: first.width]
+    scratch = np.empty_like(head)
     for fc, gc, k, sign in terms:
         if fc.block_size != m or gc.block_size != m:
             raise ValueError("block size mismatch between factors")
@@ -203,7 +207,7 @@ def combined_block(terms, ledger: TransformLedger) -> np.ndarray:
             raise ValueError("right factor's cache keeps no spectra rows")
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        _accumulate(head, fc, gc, k, sign)
+        _accumulate(head, scratch, fc, gc, k, sign)
     if real:
         _mirror(acc)
     return inverse(acc, ledger)[m:]

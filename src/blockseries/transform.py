@@ -4,8 +4,11 @@ Forward transforms evaluate a polynomial at the n-th roots of unity using the
 positive orientation, ``result[j] = p(e^{+2*pi*i*j/n})``; the inverse applies
 the conjugate transform scaled by 1/n.  Supported lengths are the 3-smooth
 integers 2^a * 3^b, handled by a mixed radix-4/2/3 decimation in time run as
-an autosort (Stockham) level loop on long vectors (see _dft).  Twiddle tables
-are built once per length and are read-only afterwards.
+an autosort (Stockham) level loop on long vectors (see _dft).  Each level's
+twiddle table is built once per level length, in the orientation the level
+multiplies in memory order: (radix, L/radix) for the row phase and its
+transpose for the column phase, kept only for the column levels' short
+tables.  Every cached table is read-only, so concurrent transforms share them.
 
 Real series take a real path inside ``forward`` and ``inverse``, at every
 length.  A real input (zero imaginary part) always gets an exactly Hermitian
@@ -128,14 +131,26 @@ _W3_PRODUCTS = np.array([[_W3, _W3.conjugate()], [_W3.conjugate(), _W3]]).reshap
 # Longest stretch of a block that one butterfly pass covers (see _butterfly).
 _CHUNK = 8192
 
+# Shortest length whose levels run with numpy's ufunc buffer at _BUFSIZE
+# points (see _dft); below it the saving does not cover the two calls.
+_UNBUFFERED_FROM = 2048
+_BUFSIZE = 16
+
+# Every table in the caches below is made read-only before it is stored, so
+# concurrent transforms can share them.
+
 # length -> the levels of its transform, bottom-up: the leaf (radix = length
-# <= 4, no twiddles), then (radix, twiddle table of shape (radix, L // radix))
-# for each level length L up to the full length.  Immutable once created.
-_PLANS: dict[int, list[tuple[int, np.ndarray | None]]] = {}
+# <= 4, no twiddles, column phase), then (radix, twiddle table, by_rows) for
+# each level length L up to the full length (see _plan).
+_PLANS: dict[int, list[tuple[int, np.ndarray | None, bool]]] = {}
+
+# (level length L, by_rows) -> the level's twiddle table w[j, c] =
+# e^(2*pi*i*j*c/L), j < radix, c < L/radix: shape (radix, L/radix) for a row
+# phase level, its transpose (L/radix, radix) for a column phase level.
+_TWIDDLES: dict[tuple[int, bool], np.ndarray] = {}
 
 # length -> (a, conj(a[:n/2])) with a[j] = (1 - i*w^j)/2, j = 0..n/2,
 # w = e^{2*pi*i/n}: the untangling tables of the half-length real path.
-# Read-only once created.
 _REAL_PLANS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # Test hook (see twiddle_fault), read by _corrupt only.
@@ -159,17 +174,36 @@ def _corrupt(out: np.ndarray) -> None:
         out[1], out[2] = out[2], out[1]
 
 
-def _plan(n: int) -> list[tuple[int, np.ndarray | None]]:
+def _plan(n: int) -> list[tuple[int, np.ndarray | None, bool]]:
+    """The levels of the length-n transform, each (radix, twiddle table, by_rows).
+
+    A level of length L runs in the row phase of _dft (by_rows) when its
+    L/radix rows outnumber its n/L columns, that is when L*L > radix*n.
+    """
     plan = _PLANS.get(n)
     if plan is None:
-        if n <= 4:
-            plan = [(n, None)]
-        else:
-            radix = 4 if n % 4 == 0 else 2 if n % 2 == 0 else 3
-            w = np.exp((2j * np.pi / n) * np.outer(np.arange(radix), np.arange(n // radix)))
-            plan = _plan(n // radix) + [(radix, w)]
+        plan = []
+        length = n
+        while length > 4:
+            radix = 4 if length % 4 == 0 else 2 if length % 2 == 0 else 3
+            by_rows = length * length > radix * n
+            plan.append((radix, _twiddles(length, radix, by_rows), by_rows))
+            length //= radix
+        plan.append((length, None, False))
+        plan.reverse()
         _PLANS[n] = plan
     return plan
+
+
+def _twiddles(length: int, radix: int, by_rows: bool) -> np.ndarray:
+    w = _TWIDDLES.get((length, by_rows))
+    if w is None:
+        w = np.exp((2j * np.pi / length) * np.outer(np.arange(radix), np.arange(length // radix)))
+        if not by_rows:
+            w = np.ascontiguousarray(w.T)
+        w.setflags(write=False)
+        _TWIDDLES[length, by_rows] = w
+    return w
 
 
 def _real_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,32 +226,59 @@ def _dft(x: np.ndarray) -> np.ndarray:
     and combines them into r row blocks.  Once cols/r < rows, one transpose
     copy makes the view (cols, rows), whose blocks are contiguous row slabs,
     so every ufunc runs over inner loops of about sqrt(n) or more (Cochran et
-    al. 1967; Bailey 1990).  Levels alternate between two length-n buffers,
-    twiddled in place, with one temporary of at most 4 * _CHUNK points: the
-    working memory is about 2n, and x is never written.
+    al. 1967; Bailey 1990).  Each level's twiddles are applied in memory
+    order: a column phase level multiplies the natural (rows, radix, cols)
+    view by its (rows, radix) table, each factor spanning a contiguous run of
+    cols points, and a row phase level multiplies the (radix, cols, rows) view
+    by its (radix, rows) table.  Levels alternate between two length-n
+    buffers, twiddled in place, with one temporary of at most 4 * _CHUNK
+    points: the working memory is about 2n, and x is never written.
+
+    Every ufunc here runs inner loops of at least sqrt(n / 4) contiguous or
+    broadcast points over 2-D or 3-D views.  numpy copies such operands
+    through buffers of bufsize points (8192 by default) whenever the inner
+    loop is shorter than that, and the copies cost more than the loops they
+    lengthen; so from _UNBUFFERED_FROM on, the levels run with a buffer size
+    of _BUFSIZE points, below every inner loop, which turns the copying off.
+    The products and sums are the same, bit for bit.  numpy keeps the buffer
+    size per thread, and it is restored on return.
     """
     n = len(x)
     if n == 1:
         return x.copy()
+    if n < _UNBUFFERED_FROM:
+        return _levels(x)
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        return _levels(x)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _levels(x: np.ndarray) -> np.ndarray:
+    """The level loop of _dft, for len(x) >= 2."""
+    n = len(x)
     levels = _plan(n)
     bufs = [np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)]
     tmp = np.empty(4 * min(n // levels[0][0], _CHUNK), dtype=np.complex128)
-    y, rows, cols, by_rows = x, 1, n, False
-    for radix, w in levels:
+    y, rows, cols, transposed = x, 1, n, False
+    for radix, w, by_rows in levels:
         cols //= radix
-        if rows > cols and not by_rows:
+        if by_rows and not transposed:
             dest = bufs[y is bufs[0]]
             np.copyto(dest.reshape(cols * radix, rows), y.reshape(rows, cols * radix).T)
-            y, by_rows = dest, True
+            y, transposed = dest, True
         out = bufs[y is bufs[0]]
         if by_rows:
             z = y.reshape(radix, cols, rows)
+            z *= w[:, None, :]
             o = out.reshape(cols, radix, rows).transpose(1, 0, 2)
         else:
-            z = y.reshape(rows, radix, cols).transpose(1, 0, 2)
+            v = y.reshape(rows, radix, cols)
+            if w is not None:
+                v *= w[:, :, None]
+            z = v.transpose(1, 0, 2)
             o = out.reshape(radix, rows, cols)
-        if w is not None:
-            z *= w[:, None, :] if by_rows else w[:, :, None]
         _butterfly(z, o, tmp)
         y, rows = out, rows * radix
     return y

@@ -13,9 +13,10 @@ from blockseries import (
     combined_block,
     decompose,
     forward,
+    inverse,
     product_block,
 )
-from blockseries import oracle
+from blockseries import blockwise, oracle
 from blockseries.checks import block_of
 from blockseries.checks import warm_caches as warm
 
@@ -245,6 +246,61 @@ def filled_cache(coeffs, m, nb, real, ledger):
     for i in range(nb):
         cache.ensure(i, ledger)
     return cache
+
+
+def per_row_accumulate(acc, f_cache, g_cache, k, sign):
+    """_accumulate as a plain loop: every row i of g whose partner row k - i of
+    f's folded rows exists, in ascending i, one product and one add or subtract."""
+    for i in range(g_cache.series.num_blocks):
+        if 0 <= k - i <= f_cache.series.num_blocks:
+            term = f_cache.folded[k - i] * g_cache.spectra[i]
+            acc[:] = acc + term if sign > 0 else acc - term
+
+
+class TestAccumulate:
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_matches_per_row_reference(self, real, sign):
+        rng = np.random.default_rng(21)
+        m, nf, ng = 6, 3, 5
+
+        def coeffs(nb):
+            c = rng.uniform(-1, 1, m * nb)
+            return c if real else c + 1j * rng.uniform(-1, 1, m * nb)
+
+        led = TransformLedger()
+        fc, gc = filled_cache(coeffs(nf), m, nf, real, led), filled_cache(coeffs(ng), m, ng, real, led)
+        # k = nf..ng-1 is past f's last block, k >= ng past g's as well, and
+        # from k = nf + ng on no pair of rows is left (lo > hi).
+        for k in range(nf + ng + 2):
+            start = rng.normal(size=fc.width) + 1j * rng.normal(size=fc.width)
+            got, want = start.copy(), start.copy()
+            blockwise._accumulate(got, np.empty_like(got), fc, gc, k, sign)
+            per_row_accumulate(want, fc, gc, k, sign)
+            assert got.tobytes() == want.tobytes(), k
+            if k >= nf + ng:
+                assert got.tobytes() == start.tobytes(), k
+
+    def test_real_spectrum_has_real_end_bins_before_the_inverse(self, monkeypatch):
+        # Bins 0 and m of a real series' block spectrum must be exactly real,
+        # or inverse would not see an exactly Hermitian spectrum.
+        seen = []
+
+        def recording_inverse(s, ledger):
+            seen.append(s.copy())
+            return inverse(s, ledger)
+
+        monkeypatch.setattr(blockwise, "inverse", recording_inverse)
+        rng = np.random.default_rng(22)
+        m, nb = 6, 4
+        led = TransformLedger()
+        d, f, g = (filled_cache(rng.uniform(-1, 1, m * nb), m, nb, True, led) for _ in range(3))
+        for k in range(2 * nb):
+            out = combined_block([(d, d, k, +1), (f, g, k, -1), (g, f, max(k - 1, 0), +1)], led)
+            assert not out.imag.any(), k
+        assert len(seen) == 2 * nb
+        for s in seen:
+            assert s.imag[0] == 0 and s.imag[m] == 0
 
 
 class TestHalfWidth:

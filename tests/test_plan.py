@@ -21,6 +21,48 @@ BLOCK_LIMIT = {"sqrt": lambda n: n, "recip": lambda n: -(-n // 3), "sqrtrem": la
 SCHEME = {"sqrt": planner.SQRT, "recip": planner.RECIP, "sqrtrem": planner.SQRT}
 
 
+# n -> the default (blocks, block_size) of SQRT and of RECIP, for n = 2^k and
+# 3 * 2^k, k = 6..20, and n = 10^2..10^6.  A change that moves a plan must
+# update this table, so every moved plan shows in one diff.
+PINNED_PLANS = {
+    64: ((2, 32), (1, 24)),
+    100: ((2, 54), (1, 36)),
+    128: ((1, 128), (1, 48)),
+    192: ((3, 64), (1, 64)),
+    256: ((2, 128), (1, 96)),
+    384: ((3, 128), (1, 128)),
+    512: ((2, 256), (1, 192)),
+    768: ((3, 256), (1, 256)),
+    1000: ((2, 512), (1, 384)),
+    1024: ((2, 512), (1, 384)),
+    1536: ((3, 512), (1, 512)),
+    2048: ((4, 512), (1, 729)),
+    3072: ((3, 1024), (1, 1024)),
+    4096: ((4, 1024), (1, 1458)),
+    6144: ((6, 1024), (1, 2048)),
+    8192: ((4, 2048), (1, 2916)),
+    10000: ((5, 2048), (1, 3456)),
+    12288: ((6, 2048), (2, 2048)),
+    16384: ((8, 2048), (3, 1944)),
+    24576: ((12, 2048), (2, 4096)),
+    32768: ((8, 4096), (3, 3888)),
+    49152: ((12, 4096), (2, 8192)),
+    65536: ((16, 4096), (11, 2048)),
+    98304: ((12, 8192), (4, 8192)),
+    100000: ((25, 4096), (5, 6912)),
+    131072: ((16, 8192), (11, 4096)),
+    196608: ((12, 16384), (4, 16384)),
+    262144: ((16, 16384), (11, 8192)),
+    393216: ((24, 16384), (4, 32768)),
+    524288: ((16, 32768), (11, 16384)),
+    786432: ((24, 32768), (4, 65536)),
+    1000000: ((31, 32768), (7, 49152)),
+    1048576: ((16, 65536), (11, 32768)),
+    1572864: ((24, 65536), (4, 131072)),
+    3145728: ((24, 131072), (4, 262144)),
+}
+
+
 def check_op(op, n, f, blocks=None):
     """Run op at its plan; the main and base ledgers must hold their schedules."""
     spec = OPS[op]
@@ -71,6 +113,13 @@ class TestPlanner:
             assert tallies(OPS["sqrtrem"].schedule(k, m)) == (2 * k, 3 * k - 2), k
         for k in range(1, planner.RECIP.max_blocks + 1):
             assert tallies(OPS["recip"].schedule(k, m)) == (7 * k - 1, 6 * k - 2), k
+
+    def test_pinned_plans(self):
+        got = {n: tuple((p.blocks, p.block_size)
+                        for p in (planner.choose_plan(planner.SQRT, n),
+                                  planner.choose_plan(planner.RECIP, n)))
+               for n in PINNED_PLANS}
+        assert got == PINNED_PLANS
 
     def test_plan_cache_bounded(self):
         assert planner._cheapest_blocks.cache_info().maxsize == planner.PLAN_CACHE_SIZE

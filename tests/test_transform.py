@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from blockseries import (
     sqrt_rem,
 )
 from blockseries import oracle, transform
+from blockseries.corpus import conditioned_series
 
 ENTRY_POINTS = {
     "sqrt": lambda f: sqrt(f, 4, TransformLedger()),
@@ -126,6 +129,48 @@ class TestRoundTrip:
             finally:
                 tracemalloc.stop()
             assert peak <= 6 * 16 * n
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("n", [96, 3**7, 2**17])
+    def test_tables_are_read_only(self, n):
+        # 96 and 2^17 have column and row phase levels; 3^7 is odd, and has
+        # no real path tables.
+        tables = [w for _, w, _ in transform._plan(n) if w is not None]
+        tables += list(transform._real_plan(n)) if n % 2 == 0 else []
+        assert {by_rows for _, _, by_rows in transform._plan(n)} == {False, True}
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_threads_share_the_caches(self, monkeypatch):
+        # Four threads start from empty tables and build them concurrently;
+        # every output and ledger must equal the serial run bit for bit, and
+        # each thread must get its numpy buffer size back from _dft.
+        jobs = []
+        for n in (96, 1000, 2**12):
+            f = conditioned_series(n, n)
+            for series in (f, np.where(f == 1, f, f * np.exp(0.7j))):
+                jobs += [(sqrt, series, n), (recip, series, n)]
+
+        def run(job):
+            op, f, n = job
+            led, base = TransformLedger(), TransformLedger()
+            out = op(f, n, led, base_ledger=base)
+            return out.tobytes(), led.record, base.record, np.getbufsize()
+
+        serial = [run(job) for job in jobs]
+        for name in ("_PLANS", "_TWIDDLES", "_REAL_PLANS"):
+            monkeypatch.setattr(transform, name, {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, job) for job in jobs * 2]
+                threaded = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 2
 
 
 # Every supported length up to 4096, odd (full length + mirror) and even
