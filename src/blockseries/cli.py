@@ -9,7 +9,6 @@ baseline row per n.  Exit codes: 0 success, 1 failure, 2 usage error.
 from __future__ import annotations
 
 import contextlib
-import re
 import sys
 import time
 import warnings
@@ -46,59 +45,27 @@ def _read_coeff_lines(path: str) -> np.ndarray:
     return np.array(coeffs, dtype=np.complex128)
 
 
-def _token_counts(data: bytes) -> np.ndarray | None:
-    """Numbers on each line of a file's bytes, blank lines left out, or None if
-    the file holds a byte on which str.split and loadtxt might disagree."""
-    if not data.isascii():
-        return None
-    chars = np.frombuffer(re.sub(rb"#[^\r\n]*", b"", data), dtype=np.uint8)
-    if np.count_nonzero((chars < 9) | ((chars > 13) & (chars < 32))):
-        return None
-    space = np.concatenate(([True], chars <= 32))
-    starts = np.flatnonzero(space[:-1] & ~space[1:])
-    line_ends = np.flatnonzero((chars == 10) | (chars == 13))  # LF, CRLF and CR
-    counts = np.bincount(np.searchsorted(line_ends, starts))
-    return counts[counts > 0]
-
-
-def _load_columns(path: str, usecols=None) -> np.ndarray:
-    """np.loadtxt of the file, with every numpy warning raised as an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(path, comments="#", ndmin=2, usecols=usecols)
-
-
 def _read_coeff_file(path: str) -> np.ndarray:
-    """One bulk parse of the whole file; the line reader for anything it refuses.
+    """One bulk parse when every line has the same width; otherwise the line reader.
 
-    A file of one width (1 or 2 numbers a line) takes one loadtxt call.  Mixed
-    `re` and `re im` lines, as `compute` writes complex results, are counted
-    per line from the file's bytes and then read in one more loadtxt call, as
-    each line's first and last number.  The line reader takes every file
-    loadtxt refuses or warns on, lines of more than 2 numbers, mixed-width
-    files that are not ASCII, tokens only ``float`` accepts (``1_0``,
-    non-ASCII digits) and files with no coefficient.  It alone names
-    ``path:lineno`` in an error.
+    The line reader takes every file loadtxt refuses or warns on: mixed `re` and
+    `re im` lines (as `compute` writes complex results), more than 2 columns,
+    tokens only ``float`` accepts (``1_0``, non-ASCII digits), and files with no
+    coefficient.  It alone names ``path:lineno`` in an error.
     """
     try:
-        cols = _load_columns(path)
-        widths = np.full(len(cols), cols.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = np.loadtxt(path, comments="#", ndmin=2)
     except (ValueError, OSError, Warning):
-        with open(path, "rb") as fh:
-            widths = _token_counts(fh.read())
-        if widths is None or not len(widths) or widths.max() > 2:
-            return _read_coeff_lines(path)
-        try:
-            cols = _load_columns(path, usecols=(0, -1))
-        except (ValueError, OSError, Warning):
-            return _read_coeff_lines(path)
-    if cols.shape[1] > 2 or len(cols) != len(widths):
+        return _read_coeff_lines(path)
+    if cols.shape[1] > 2:
         return _read_coeff_lines(path)
     coeffs = np.zeros(len(cols), dtype=np.complex128)
     # Not re + 1j*im: that turns an infinite imaginary part into a NaN real part.
     coeffs.real = cols[:, 0]
-    two = widths == 2
-    coeffs.imag[two] = cols[two, -1]
+    if cols.shape[1] == 2:
+        coeffs.imag = cols[:, 1]
     return coeffs
 
 
