@@ -304,16 +304,6 @@ class TestMiddleProduct:
         got = middle(np.zeros(8), np.ones(4), 4, TransformLedger())
         np.testing.assert_allclose(got, np.zeros(4), atol=1e-15)
 
-    @pytest.mark.parametrize("n", all_supported_up_to(2**12))
-    def test_matches_naive(self, n):
-        rng = np.random.default_rng(n)
-        g = rng.uniform(-1, 1, 2 * n)
-        h = rng.uniform(-1, 1, n)
-        got = middle(g, h, n, TransformLedger())
-        want = oracle.mul_schoolbook(g, h)[n : 2 * n]
-        tol = 1e-9 * n * max(1.0, np.abs(want).max())
-        assert np.abs(got - want).max() <= tol
-
 
 class TestSupportedSizes:
     def test_matches_enumeration(self):
