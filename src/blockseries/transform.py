@@ -3,8 +3,9 @@
 Forward transforms evaluate a polynomial at the n-th roots of unity using the
 positive orientation, ``result[j] = p(e^{+2*pi*i*j/n})``; the inverse applies
 the conjugate transform scaled by 1/n.  Supported lengths are the 3-smooth
-integers 2^a * 3^b, handled by a mixed radix-4/2/3 decimation in time run as
-an autosort (Stockham) level loop on long vectors (see _dft).  Each level's
+integers 2^a * 3^b up to 2^64, listed once in _SUPPORTED, and are handled by
+a mixed radix-4/2/3 decimation in time run as an autosort (Stockham) level
+loop on long vectors (see _dft).  Each level's
 twiddle table is built once per level length, in the orientation the level
 multiplies in memory order: (radix, L/radix) for the row phase and its
 transpose for the column phase, kept only for the column levels' short
@@ -97,21 +98,17 @@ class TransformLedger:
         return cost
 
 
-def is_supported(n: int) -> bool:
-    """True if n >= 1 and n has no prime factor other than 2 and 3."""
-    if n < 1:
-        return False
-    while n % 2 == 0:
-        n //= 2
-    while n % 3 == 0:
-        n //= 3
-    return n == 1
-
-
-# Every supported length up to 2^64, ascending; longer ones cannot be allocated.
+# Every supported length, ascending: each 2^a * 3^b up to 2^64 (longer ones
+# cannot be allocated).  is_supported and next_supported both read it.
 _SUPPORTED = sorted(
     p3 << a for p3 in (3**b for b in range(41)) for a in range(((1 << 64) // p3).bit_length())
 )
+
+
+def is_supported(n: int) -> bool:
+    """True if n is 2^a * 3^b and at most 2^64."""
+    i = bisect_left(_SUPPORTED, n)
+    return i < len(_SUPPORTED) and _SUPPORTED[i] == n
 
 
 def next_supported(n: int) -> int:

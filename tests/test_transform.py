@@ -330,6 +330,8 @@ class TestSupportedSizes:
             next_supported(2**64 + 1)
         assert not is_supported(0)
         assert not is_supported(10)
+        assert not is_supported(2**65) and not is_supported(3**41)
+        assert is_supported(2**64) and is_supported(3**40)
 
 
 class TestLedger:
