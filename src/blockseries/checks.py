@@ -12,6 +12,7 @@ also assert the paper's totals 4r-3, 13s-3 and 5r-2 as literals.
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 
@@ -379,9 +380,12 @@ CHECKS = [
 
 
 def run_check(name: str, check, full: bool) -> tuple[bool, str]:
-    """Run one check; returns whether it passed and its report line."""
+    """Run one check; returns whether it passed and its report line.  A numpy
+    RuntimeWarning (overflow, invalid value) fails it, as it fails pytest."""
     try:
-        ok, detail = True, check(full)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ok, detail = True, check(full)
     except AssertionError as exc:
         ok, detail = False, str(exc)
     except Exception as exc:  # a crashed check is a failed check

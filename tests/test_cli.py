@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockseries
-from blockseries import cli, oracle
+from blockseries import checks, cli, oracle
 from blockseries.cli import main
 from blockseries.corpus import conditioned_monic, conditioned_series
 
@@ -428,3 +428,12 @@ class TestSelftest:
         result = runner.invoke(main, ["selftest", "--quick", "--inject-fault"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    def test_runtime_warning_fails_the_check(self):
+        # Outside pytest's warning filter a numpy overflow only prints, so
+        # the check itself must turn it into a failure.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ok, line = checks.run_check("overflow", lambda full: str(np.float64(1e308) * 10), True)
+        assert not ok
+        assert line.startswith("FAIL  overflow") and "RuntimeWarning: overflow" in line
