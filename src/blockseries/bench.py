@@ -15,14 +15,15 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
 from . import baselines, oracle
 from .corpus import RNG_NAME, conditioned_monic, conditioned_series
-from .plan import RECIP, SQRT, BlockPlan, choose_plan
+from .plan import RECIP, SQRT, BlockPlan
+from .recip import choose_params as recip_params
 from .recip import recip
+from .sqrt import choose_params as sqrt_params
 from .sqrt import rem_params, sqrt, sqrt_rem
 from .transform import TransformLedger, transform_cost
 
@@ -76,11 +77,10 @@ class Op:
 
 
 OPS: dict[str, Op] = {
-    "sqrt": Op(sqrt, _blockwise, conditioned_series, _sqrt_error, plan=partial(choose_plan, SQRT),
+    "sqrt": Op(sqrt, _blockwise, conditioned_series, _sqrt_error, plan=sqrt_params,
                schedule=SQRT.schedule, unit=SQRT.unit, baseline="sqrt_newton_coupled"),
-    "recip": Op(recip, _blockwise, conditioned_series, _recip_error,
-                plan=partial(choose_plan, RECIP), schedule=RECIP.schedule, unit=RECIP.unit,
-                baseline="recip_schonhage"),
+    "recip": Op(recip, _blockwise, conditioned_series, _recip_error, plan=recip_params,
+                schedule=RECIP.schedule, unit=RECIP.unit, baseline="recip_schonhage"),
     # The square root's, then the last root block and the r high square blocks.
     "sqrtrem": Op(sqrt_rem, _with_remainder, lambda seed, n: conditioned_monic(seed, 2 * n),
                   _remainder_error, plan=rem_params,
