@@ -21,10 +21,8 @@ import numpy as np
 from . import baselines, oracle
 from .corpus import RNG_NAME, conditioned_monic, conditioned_series
 from .plan import RECIP, SQRT, BlockPlan
-from .recip import choose_params as recip_params
-from .recip import recip
-from .sqrt import choose_params as sqrt_params
-from .sqrt import rem_params, sqrt, sqrt_rem
+from .recip import choose_params as recip_params, recip
+from .sqrt import choose_params as sqrt_params, rem_params, sqrt, sqrt_rem
 from .transform import TransformLedger, transform_cost
 
 # Largest n for which bench records include the O(n^2) oracle comparison.

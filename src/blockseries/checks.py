@@ -84,14 +84,11 @@ def transform_identities(full: bool) -> str:
 
 
 def convolution_theorem(full: bool) -> str:
-    """The convolution theorem: inverse(forward(g1) * forward(g2)) is g1*g2 mod x^n - 1,
-    for two forward transforms and one inverse of length n, within 1e-9 * n/2;
-    full mode runs every even supported n <= 8192."""
+    """The convolution theorem: inverse(forward(g1) * forward(g2)) is g1*g2 mod x^n - 1
+    within 1e-9 * n/2, at every even supported n <= 8192 in full mode."""
     rng = np.random.default_rng(1)
     worst = 0.0
-    sizes = [2, 6, 16, 54, 96]
-    if full:
-        sizes = [n for n in range(2, 8193, 2) if is_supported(n)]
+    sizes = [n for n in range(2, 8193, 2) if is_supported(n)] if full else [2, 6, 16, 54, 96]
     for n in sizes:
         g1 = rng.uniform(-1, 1, n)
         g2 = rng.uniform(-1, 1, n)
@@ -380,8 +377,7 @@ CHECKS = [
 
 
 def run_check(name: str, check, full: bool) -> tuple[bool, str]:
-    """Run one check; returns whether it passed and its report line.  A numpy
-    RuntimeWarning (overflow, invalid value) fails it, as it fails pytest."""
+    """Run one check, failing it on a RuntimeWarning as pytest does; returns (ok, line)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

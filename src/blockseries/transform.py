@@ -3,13 +3,13 @@
 Forward transforms evaluate a polynomial at the n-th roots of unity using the
 positive orientation, ``result[j] = p(e^{+2*pi*i*j/n})``; the inverse applies
 the conjugate transform scaled by 1/n.  Supported lengths are the 3-smooth
-integers 2^a * 3^b up to 2^64, listed once in _SUPPORTED, and are handled by
-a mixed radix-4/2/3 decimation in time run as an autosort (Stockham) level
-loop on long vectors (see _dft).  Each level's
-twiddle table is built once per level length, in the orientation the level
-multiplies in memory order: (radix, L/radix) for the row phase and its
-transpose for the column phase, kept only for the column levels' short
-tables.  Every cached table is read-only, so concurrent transforms share them.
+integers 2^a * 3^b up to 2^64, listed in _SUPPORTED, handled by a mixed
+radix-4/2/3 decimation in time run as an autosort (Stockham) level loop on
+long vectors (see _dft).  Each level's twiddle table is built once per level
+length, in the orientation the level multiplies in memory order: (radix,
+L/radix) for the row phase and its transpose for the column phase, kept only
+for the column levels' short tables.  Every cached table is read-only, so
+concurrent transforms share them.
 
 Real series take a real path inside ``forward`` and ``inverse``, at every
 length.  A real input (zero imaginary part) always gets an exactly Hermitian
@@ -98,8 +98,7 @@ class TransformLedger:
         return cost
 
 
-# Every supported length, ascending: each 2^a * 3^b up to 2^64 (longer ones
-# cannot be allocated).  is_supported and next_supported both read it.
+# Every supported length up to 2^64, ascending; longer ones cannot be allocated.
 _SUPPORTED = sorted(
     p3 << a for p3 in (3**b for b in range(41)) for a in range(((1 << 64) // p3).bit_length())
 )

@@ -429,11 +429,7 @@ class TestSelftest:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as outside pytest: no error filter
     def test_runtime_warning_fails_the_check(self):
-        # Outside pytest's warning filter a numpy overflow only prints, so
-        # the check itself must turn it into a failure.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ok, line = checks.run_check("overflow", lambda full: str(np.float64(1e308) * 10), True)
-        assert not ok
-        assert line.startswith("FAIL  overflow") and "RuntimeWarning: overflow" in line
+        ok, line = checks.run_check("overflow", lambda full: str(np.float64(1e308) * 10), True)
+        assert not ok and line.startswith("FAIL  overflow") and "RuntimeWarning: overflow" in line
