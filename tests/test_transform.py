@@ -93,6 +93,14 @@ class TestInverse:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("n", all_supported_up_to(2**14))
+    def test_all_supported_sizes(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        led = TransformLedger()
+        got = inverse(forward(p, n, led), led)
+        assert np.abs(got - p).max() <= 1e-10
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(min_value=0, max_value=6),
@@ -246,6 +254,17 @@ class TestRealPath:
                       inverse(clean[0], led), inverse(clean[1], led)]
         for got, want in zip(faulty, clean + [x, p]):
             assert np.abs(got - want).max() > 1e-3
+
+
+class TestTransformOfShift:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9, 16, 24, 81, 128])
+    def test_alternating_signs(self, m):
+        # x^m evaluated at the 2m-th roots of unity alternates +1/-1.
+        x = np.zeros(m + 1)
+        x[m] = 1.0
+        got = forward(x, 2 * m, TransformLedger())
+        expect = np.where(np.arange(2 * m) % 2, -1.0, 1.0)
+        assert np.abs(got - expect).max() <= 1e-12
 
 
 def cyclic(g1, g2, n, led):
