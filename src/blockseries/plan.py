@@ -38,7 +38,10 @@ from .transform import next_supported
 # the 3-part of a length costs 1.4 times the 2-part.  Two engine rewrites
 # later they overstate transforms until a refit: the autosort loop takes a
 # median 0.8 of the previous loop's time at L = 513..16384 and 0.6-0.7 above
-# (CHANGES.md has the per-length times).  Accumulate: the per-step
+# (CHANGES.md has the per-length times).  The radix-3 and radix-9 levels
+# now run as one matrix product each, which took lengths with a 3-part of 9
+# or more to 0.3-0.6 of their time, so THREE_FACTOR overstates the 3-part;
+# it stays so that no plan moves until the refit.  Accumulate: the per-step
 # time of an early per-block loop, at block sizes 1..2^16; kept so plans stay
 # as they were until a refit.  blockwise._accumulate now streams each pair of
 # rows through one multiply and one add: about 1.6 us fixed and 2.2 ns per

@@ -3,13 +3,13 @@
 Forward transforms evaluate a polynomial at the n-th roots of unity using the
 positive orientation, ``result[j] = p(e^{+2*pi*i*j/n})``; the inverse applies
 the conjugate transform scaled by 1/n.  Supported lengths are the 3-smooth
-integers 2^a * 3^b up to 2^64, listed in _SUPPORTED, handled by a mixed
-radix-4/2/3 decimation in time run as an autosort (Stockham) level loop on
-long vectors (see _dft).  Each level's twiddle table is built once per level
-length, in the orientation the level multiplies in memory order: (radix,
-L/radix) for the row phase and its transpose for the column phase, kept only
-for the column levels' short tables.  Every cached table is read-only, so
-concurrent transforms share them.
+integers 2^a * 3^b up to 2^64, listed in _SUPPORTED, handled by a mixed-radix
+decimation in time run as an autosort (Stockham) level loop (see _dft): the
+2-part in add-only radix-4/2 butterflies, the 3-part in radix-9/3 levels, each
+one product with the radix's DFT matrix.  Each level's twiddle table is built
+once per level length as the level multiplies it in memory order: (radix,
+L/radix) for the row phase, its transpose for the column phase's short tables.
+Every cached table is read-only, so concurrent transforms share them.
 
 Real series take a real path inside ``forward`` and ``inverse``, at every
 length.  A real input (zero imaginary part) always gets an exactly Hermitian
@@ -49,7 +49,7 @@ Spectrum = np.ndarray
 
 
 class UnsupportedLengthError(ValueError):
-    """Requested transform length is not of the form 2^a * 3^b."""
+    """Requested transform length is not of the form 2^a * 3^b, or is above 2^64."""
 
 
 def transform_cost(length: int, count: int = 1) -> float:
@@ -110,6 +110,12 @@ def is_supported(n: int) -> bool:
     return i < len(_SUPPORTED) and _SUPPORTED[i] == n
 
 
+def _require_supported(n: int) -> None:
+    if not is_supported(n):
+        why = "above 2^64" if n > _SUPPORTED[-1] else "not 2^a * 3^b"
+        raise UnsupportedLengthError(f"transform length {n} is {why}")
+
+
 def next_supported(n: int) -> int:
     """Smallest supported (3-smooth) length >= n."""
     if n < 1:
@@ -118,11 +124,6 @@ def next_supported(n: int) -> int:
         raise ValueError(f"length {n} is above 2^64")
     return _SUPPORTED[bisect_left(_SUPPORTED, n)]
 
-
-# Primitive cube root of unity, positive orientation, and the radix-3
-# butterfly's factors [[w3, conj(w3)], [conj(w3), w3]] for blocks z1 and z2.
-_W3 = complex(-0.5, math.sqrt(3.0) / 2.0)
-_W3_PRODUCTS = np.array([[_W3, _W3.conjugate()], [_W3.conjugate(), _W3]]).reshape(2, 2, 1, 1)
 
 # Longest stretch of a block that one butterfly pass covers (see _butterfly).
 _CHUNK = 8192
@@ -135,15 +136,18 @@ _BUFSIZE = 16
 # Every table in the caches below is made read-only before it is stored, so
 # concurrent transforms can share them.
 
-# length -> the levels of its transform, bottom-up: the leaf (radix = length
-# <= 4, no twiddles, column phase), then (radix, twiddle table, by_rows) for
-# each level length L up to the full length (see _plan).
+# length -> the levels of its transform, bottom-up: the leaf (radix = length,
+# no twiddles, column phase), then (radix, twiddle table, by_rows) for each
+# level length L up to the full length (see _plan).
 _PLANS: dict[int, list[tuple[int, np.ndarray | None, bool]]] = {}
 
 # (level length L, by_rows) -> the level's twiddle table w[j, c] =
 # e^(2*pi*i*j*c/L), j < radix, c < L/radix: shape (radix, L/radix) for a row
 # phase level, its transpose (L/radix, radix) for a column phase level.
 _TWIDDLES: dict[tuple[int, bool], np.ndarray] = {}
+
+# radix (3 or 9) -> its DFT matrix F[q, j] = e^(2*pi*i*q*j/radix).
+_DFT_MATRICES: dict[int, np.ndarray] = {}
 
 # length -> (a, conj(a[:n/2])) with a[j] = (1 - i*w^j)/2, j = 0..n/2,
 # w = e^{2*pi*i/n}: the untangling tables of the half-length real path.
@@ -180,12 +184,12 @@ def _plan(n: int) -> list[tuple[int, np.ndarray | None, bool]]:
     if plan is None:
         plan = []
         length = n
-        while length > 4:
-            radix = 4 if length % 4 == 0 else 2 if length % 2 == 0 else 3
+        while length > 1:
+            radix = next(r for r in (4, 2, 9, 3) if length % r == 0)
             by_rows = length * length > radix * n
-            plan.append((radix, _twiddles(length, radix, by_rows), by_rows))
+            w = _twiddles(length, radix, by_rows) if length > radix else None
+            plan.append((radix, w, by_rows))
             length //= radix
-        plan.append((length, None, False))
         plan.reverse()
         _PLANS[n] = plan
     return plan
@@ -200,6 +204,15 @@ def _twiddles(length: int, radix: int, by_rows: bool) -> np.ndarray:
         w.setflags(write=False)
         _TWIDDLES[length, by_rows] = w
     return w
+
+
+def _dft_matrix(radix: int) -> np.ndarray:
+    f = _DFT_MATRICES.get(radix)
+    if f is None:
+        f = np.exp((2j * np.pi / radix) * (np.outer(np.arange(radix), np.arange(radix)) % radix))
+        f.setflags(write=False)
+        _DFT_MATRICES[radix] = f
+    return f
 
 
 def _real_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,18 +232,19 @@ def _dft(x: np.ndarray) -> np.ndarray:
 
     Autosort (Stockham) levels on a (rows, cols) view whose column c holds the
     length-rows DFT of x[c::cols]: a level of radix r twiddles r column blocks
-    and combines them into r row blocks.  Once cols/r < rows, one transpose
-    copy makes the view (cols, rows), whose blocks are contiguous row slabs,
-    so every ufunc runs over inner loops of about sqrt(n) or more (Cochran et
-    al. 1967; Bailey 1990).  Each level's twiddles are applied in memory
-    order: a column phase level multiplies the natural (rows, radix, cols)
-    view by its (rows, radix) table, each factor spanning a contiguous run of
-    cols points, and a row phase level multiplies the (radix, cols, rows) view
-    by its (radix, rows) table.  Levels alternate between two length-n
-    buffers, twiddled in place, with one temporary of at most 4 * _CHUNK
-    points: the working memory is about 2n, and x is never written.
+    and combines them into r row blocks (see _butterfly: add-only for radix 2
+    and 4, one matrix product for radix 3 and 9).  Once cols/r < rows, one
+    transpose copy makes the view (cols, rows), whose blocks are contiguous
+    row slabs, so every ufunc runs over inner loops of about sqrt(n) or more
+    (Cochran et al. 1967; Bailey 1990).  Each level's twiddles are applied in
+    memory order: a column phase level multiplies the natural (rows, radix,
+    cols) view by its (rows, radix) table, each factor spanning a contiguous
+    run of cols points, and a row phase level multiplies the (radix, cols,
+    rows) view by its (radix, rows) table.  Levels alternate between two
+    length-n buffers, twiddled in place, with one radix-4 temporary of at most
+    4 * _CHUNK points: the working memory is about 2n, and x is never written.
 
-    Every ufunc here runs inner loops of at least sqrt(n / 4) contiguous or
+    Every ufunc here runs inner loops of at least sqrt(n / 9) contiguous or
     broadcast points over 2-D or 3-D views.  numpy copies such operands
     through buffers of bufsize points (8192 by default) whenever the inner
     loop is shorter than that, and the copies cost more than the loops they
@@ -256,7 +270,7 @@ def _levels(x: np.ndarray) -> np.ndarray:
     n = len(x)
     levels = _plan(n)
     bufs = [np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)]
-    tmp = np.empty(4 * min(n // levels[0][0], _CHUNK), dtype=np.complex128)
+    tmp = np.empty(4 * min(n // min(levels[0][0], 4), _CHUNK), dtype=np.complex128)
     y, rows, cols, transposed = x, 1, n, False
     for radix, w, by_rows in levels:
         cols //= radix
@@ -283,10 +297,15 @@ def _levels(x: np.ndarray) -> np.ndarray:
 def _butterfly(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """out[q] = sum_j e^(2*pi*i*j*q/radix) z[j] for radix = len(z), through tmp.
 
-    Each ufunc call covers two blocks (same sums, same order); blocks longer
-    than _CHUNK go a chunk of rows or columns at a time, so tmp stays in cache.
+    Radix 3 and 9: one stacked product of the DFT matrix with the level's
+    view, written straight into out.  Radix 2 and 4 (matrices of +-1, +-i):
+    add-only ufunc calls, each covering two blocks (same sums, same order), a
+    chunk of rows or columns at a time past _CHUNK, so tmp stays in cache.
     """
     radix = len(z)
+    if radix % 3 == 0:
+        np.matmul(_dft_matrix(radix), z.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        return
     size = z.size // radix
     if radix == 2:
         np.add(z[0], z[1], out=out[0])
@@ -300,18 +319,11 @@ def _butterfly(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
             _butterfly(z[part], out[part], tmp)
         return
     pairs = tmp[: 4 * size].reshape((2, 2) + z.shape[1:])
-    if radix == 3:
-        np.add(z[0], z[1], out=out[0])
-        np.add(out[0], z[2], out=out[0])  # z0 + z1 + z2
-        np.multiply(_W3_PRODUCTS, z[1:, None], out=pairs)  # w3*z1, w3c*z1; w3c*z2, w3*z2
-        np.add(z[0], pairs[0], out=out[1:])  # z0 + w3*z1, z0 + w3c*z1
-        np.add(out[1:], pairs[1], out=out[1:])  # ... + w3c*z2, ... + w3*z2
-    else:
-        np.add(z[:2], z[2:], out=pairs[0])  # s = z0 + z2, t = z1 + z3
-        np.subtract(z[:2], z[2:], out=pairs[1])  # d = z0 - z2, u = z1 - z3
-        np.multiply(1j, pairs[1, 1], out=pairs[1, 1])  # 1j*u
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:2])  # s + t, d + 1j*u
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[2:])  # s - t, d - 1j*u
+    np.add(z[:2], z[2:], out=pairs[0])  # s = z0 + z2, t = z1 + z3
+    np.subtract(z[:2], z[2:], out=pairs[1])  # d = z0 - z2, u = z1 - z3
+    np.multiply(1j, pairs[1, 1], out=pairs[1, 1])  # 1j*u
+    np.add(pairs[:, 0], pairs[:, 1], out=out[:2])  # s + t, d + 1j*u
+    np.subtract(pairs[:, 0], pairs[:, 1], out=out[2:])  # s - t, d - 1j*u
 
 
 def _forward_half(x: np.ndarray, n: int) -> Spectrum:
@@ -397,8 +409,7 @@ def require_unit_constant(f: Poly) -> None:
 
 def forward(p, n: int, ledger: TransformLedger) -> Spectrum:
     """Evaluate p at the n-th roots of unity; counts one forward transform."""
-    if not is_supported(n):
-        raise UnsupportedLengthError(f"transform length {n} is not 2^a * 3^b")
+    _require_supported(n)
     p = as_series(p)
     if len(p) > n:
         raise ValueError(f"polynomial length {len(p)} exceeds transform length {n}")
@@ -422,13 +433,14 @@ def inverse(s, ledger: TransformLedger) -> Poly:
     """Recover coefficients from a spectrum; counts one inverse transform."""
     s = as_series(s)
     n = len(s)
-    if not is_supported(n):
-        raise UnsupportedLengthError(f"transform length {n} is not 2^a * 3^b")
+    _require_supported(n)
     real = _is_hermitian(s)
     if real and n % 2 == 0:
         out = _inverse_half(s).astype(np.complex128)
     else:
-        out = np.conj(_dft(np.conj(s))) / n
+        out = _dft(np.conj(s))
+        np.conjugate(out, out=out)
+        out /= n
         if real:
             out.imag = 0.0
     _corrupt(out)

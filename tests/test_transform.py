@@ -135,11 +135,16 @@ class TestRoundTrip:
 class TestSharedTables:
     @pytest.mark.parametrize("n", [96, 3**7, 2**17])
     def test_tables_are_read_only(self, n):
-        # 96 and 2^17 have column and row phase levels; 3^7 is odd, and has
-        # no real path tables.
-        tables = [w for _, w, _ in transform._plan(n) if w is not None]
+        # 96 and 2^17 have column and row phase levels; 3^7 is odd, has no
+        # real path tables, and runs radix-3 and radix-9 levels through their
+        # DFT matrices.
+        plan = transform._plan(n)
+        radices = {radix for radix, _, _ in plan}
+        assert n != 3**7 or radices == {3, 9}
+        tables = [w for _, w, _ in plan if w is not None]
         tables += list(transform._real_plan(n)) if n % 2 == 0 else []
-        assert {by_rows for _, _, by_rows in transform._plan(n)} == {False, True}
+        tables += [transform._dft_matrix(radix) for radix in radices if radix % 3 == 0]
+        assert {by_rows for _, _, by_rows in plan} == {False, True}
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
@@ -161,7 +166,7 @@ class TestSharedTables:
             return out.tobytes(), led.record, base.record, np.getbufsize()
 
         serial = [run(job) for job in jobs]
-        for name in ("_PLANS", "_TWIDDLES", "_REAL_PLANS"):
+        for name in ("_PLANS", "_TWIDDLES", "_DFT_MATRICES", "_REAL_PLANS"):
             monkeypatch.setattr(transform, name, {})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -176,7 +181,7 @@ class TestSharedTables:
 
 # Every supported length up to 4096, odd (full length + mirror) and even
 # (half length), plus long lengths that run many levels and change layout
-# deep in the loop: 2^19 in radix 4, 2 * 3^11 and 3^12 mostly in radix 3.
+# deep in the loop: 2^19 in radix 4, 2 * 3^11 and 3^12 mostly in radix 9.
 REAL_LENGTHS = all_supported_up_to(4096) + [2**15, 2**19, 2 * 3**11, 3**12]
 
 
@@ -347,6 +352,9 @@ class TestSupportedSizes:
         with pytest.raises(ValueError, match="above 2\\^64"):
             next_supported(2**64 + 1)
         assert [is_supported(n) for n in (2**64, 3**40, 2**65, 3**41)] == [True, True, False, False]
+        for n, why in ((5, r"not 2\^a \* 3\^b"), (2**65, r"above 2\^64"), (3**41, r"above 2\^64")):
+            with pytest.raises(UnsupportedLengthError, match=f"^transform length {n} is {why}$"):
+                forward([1], n, TransformLedger())
 
 
 class TestLedger:
