@@ -41,7 +41,9 @@ from .transform import next_supported
 # (CHANGES.md has the per-length times).  The radix-3 and radix-9 levels
 # now run as one matrix product each, which took lengths with a 3-part of 9
 # or more to 0.3-0.6 of their time, so THREE_FACTOR overstates the 3-part;
-# it stays so that no plan moves until the refit.  Accumulate: the per-step
+# it stays so that no plan moves until the refit.  The 2-part runs in radix-8
+# matrix products too, at 0.26-0.80 of the time at 2^a lengths, so the
+# TRANSFORM_* terms overstate 2-part lengths further.  Accumulate: the per-step
 # time of an early per-block loop, at block sizes 1..2^16; kept so plans stay
 # as they were until a refit.  blockwise._accumulate now streams each pair of
 # rows through one multiply and one add: about 1.6 us fixed and 2.2 ns per

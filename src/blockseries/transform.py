@@ -5,8 +5,9 @@ positive orientation, ``result[j] = p(e^{+2*pi*i*j/n})``; the inverse applies
 the conjugate transform scaled by 1/n.  Supported lengths are the 3-smooth
 integers 2^a * 3^b up to 2^64, listed in _SUPPORTED, handled by a mixed-radix
 decimation in time run as an autosort (Stockham) level loop (see _dft): the
-2-part in add-only radix-4/2 butterflies, the 3-part in radix-9/3 levels, each
-one product with the radix's DFT matrix.  Each level's twiddle table is built
+2-part in radix-8 levels and at most one add-only radix-4 or radix-2 butterfly,
+the 3-part in radix-9/3 levels, each level but the butterfly one product with
+the radix's DFT matrix.  Each level's twiddle table is built
 once per level length as the level multiplies it in memory order: (radix,
 L/radix) for the row phase, its transpose for the column phase's short tables.
 Every cached table is read-only, so concurrent transforms share them.
@@ -146,7 +147,7 @@ _PLANS: dict[int, list[tuple[int, np.ndarray | None, bool]]] = {}
 # phase level, its transpose (L/radix, radix) for a column phase level.
 _TWIDDLES: dict[tuple[int, bool], np.ndarray] = {}
 
-# radix (3 or 9) -> its DFT matrix F[q, j] = e^(2*pi*i*q*j/radix).
+# radix (3, 8 or 9) -> its DFT matrix F[q, j] = e^(2*pi*i*q*j/radix).
 _DFT_MATRICES: dict[int, np.ndarray] = {}
 
 # length -> (a, conj(a[:n/2])) with a[j] = (1 - i*w^j)/2, j = 0..n/2,
@@ -177,15 +178,19 @@ def _corrupt(out: np.ndarray) -> None:
 def _plan(n: int) -> list[tuple[int, np.ndarray | None, bool]]:
     """The levels of the length-n transform, each (radix, twiddle table, by_rows).
 
-    A level of length L runs in the row phase of _dft (by_rows) when its
-    L/radix rows outnumber its n/L columns, that is when L*L > radix*n.
+    From the top, each level takes the first of 8, 4, 2, 9, 3 that divides
+    what is left: the 2-part runs in radix-8 levels and at most one radix 4
+    or 2, the 3-part in radix-9 levels and at most one radix 3.  So a level's
+    radix depends on its length L alone, which the _TWIDDLES key relies on.
+    A level runs in the row phase of _dft (by_rows) when its L/radix rows
+    outnumber its n/L columns, that is when L*L > radix*n.
     """
     plan = _PLANS.get(n)
     if plan is None:
         plan = []
         length = n
         while length > 1:
-            radix = next(r for r in (4, 2, 9, 3) if length % r == 0)
+            radix = next(r for r in (8, 4, 2, 9, 3) if length % r == 0)
             by_rows = length * length > radix * n
             w = _twiddles(length, radix, by_rows) if length > radix else None
             plan.append((radix, w, by_rows))
@@ -209,7 +214,11 @@ def _twiddles(length: int, radix: int, by_rows: bool) -> np.ndarray:
 def _dft_matrix(radix: int) -> np.ndarray:
     f = _DFT_MATRICES.get(radix)
     if f is None:
-        f = np.exp((2j * np.pi / radix) * (np.outer(np.arange(radix), np.arange(radix)) % radix))
+        qj = np.outer(np.arange(radix), np.arange(radix)) % radix
+        f = np.exp((2j * np.pi / radix) * qj)
+        if radix % 4 == 0:  # exact 1, i, -1, -i at quarter turns; exp leaves 6e-17
+            quarter = qj % (radix // 4) == 0
+            f[quarter] = np.array([1, 1j, -1, -1j])[qj[quarter] * 4 // radix]
         f.setflags(write=False)
         _DFT_MATRICES[radix] = f
     return f
@@ -233,7 +242,7 @@ def _dft(x: np.ndarray) -> np.ndarray:
     Autosort (Stockham) levels on a (rows, cols) view whose column c holds the
     length-rows DFT of x[c::cols]: a level of radix r twiddles r column blocks
     and combines them into r row blocks (see _butterfly: add-only for radix 2
-    and 4, one matrix product for radix 3 and 9).  Once cols/r < rows, one
+    and 4, one matrix product for radix 3, 8 and 9).  Once cols/r < rows, one
     transpose copy makes the view (cols, rows), whose blocks are contiguous
     row slabs, so every ufunc runs over inner loops of about sqrt(n) or more
     (Cochran et al. 1967; Bailey 1990).  Each level's twiddles are applied in
@@ -241,8 +250,9 @@ def _dft(x: np.ndarray) -> np.ndarray:
     cols) view by its (rows, radix) table, each factor spanning a contiguous
     run of cols points, and a row phase level multiplies the (radix, cols,
     rows) view by its (radix, rows) table.  Levels alternate between two
-    length-n buffers, twiddled in place, with one radix-4 temporary of at most
-    4 * _CHUNK points: the working memory is about 2n, and x is never written.
+    length-n buffers, twiddled in place, plus a temporary of at most 4 * _CHUNK
+    points if a level is radix 4: the working memory is about 2n, and x is
+    never written.
 
     Every ufunc here runs inner loops of at least sqrt(n / 9) contiguous or
     broadcast points over 2-D or 3-D views.  numpy copies such operands
@@ -270,7 +280,8 @@ def _levels(x: np.ndarray) -> np.ndarray:
     n = len(x)
     levels = _plan(n)
     bufs = [np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)]
-    tmp = np.empty(4 * min(n // min(levels[0][0], 4), _CHUNK), dtype=np.complex128)
+    has_4 = any(radix == 4 for radix, _, _ in levels)
+    tmp = np.empty(4 * min(n // 4, _CHUNK), dtype=np.complex128) if has_4 else None
     y, rows, cols, transposed = x, 1, n, False
     for radix, w, by_rows in levels:
         cols //= radix
@@ -294,16 +305,16 @@ def _levels(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _butterfly(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+def _butterfly(z: np.ndarray, out: np.ndarray, tmp: np.ndarray | None) -> None:
     """out[q] = sum_j e^(2*pi*i*j*q/radix) z[j] for radix = len(z), through tmp.
 
-    Radix 3 and 9: one stacked product of the DFT matrix with the level's
+    Radix 3, 8 and 9: one stacked product of the DFT matrix with the level's
     view, written straight into out.  Radix 2 and 4 (matrices of +-1, +-i):
     add-only ufunc calls, each covering two blocks (same sums, same order), a
     chunk of rows or columns at a time past _CHUNK, so tmp stays in cache.
     """
     radix = len(z)
-    if radix % 3 == 0:
+    if radix not in (2, 4):
         np.matmul(_dft_matrix(radix), z.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
         return
     size = z.size // radix

@@ -117,8 +117,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n", [2**17, 3 * 2**15, 2 * 3**10])
     def test_working_memory_does_not_grow_with_depth(self, n):
         # A complex transform holds at most 5 length-n vectors at once (its
-        # padded input, two level buffers and a short temporary); keeping
-        # every level's copy alive took 11-12.
+        # padded input, two level buffers and, with a radix-4 level, a short
+        # temporary); keeping every level's copy alive took 11-12.
         p = np.random.default_rng(n).uniform(-1, 1, n) + 1j
         led = TransformLedger()
         forward(p, n, led)  # builds the twiddle tables, which are kept
@@ -135,19 +135,46 @@ class TestRoundTrip:
 class TestSharedTables:
     @pytest.mark.parametrize("n", [96, 3**7, 2**17])
     def test_tables_are_read_only(self, n):
-        # 96 and 2^17 have column and row phase levels; 3^7 is odd, has no
-        # real path tables, and runs radix-3 and radix-9 levels through their
-        # DFT matrices.
+        # 96 and 2^17 have column and row phase levels and run radix-8 levels
+        # through its DFT matrix; 3^7 is odd, has no real path tables, and
+        # runs radix-3 and radix-9 levels through their DFT matrices.
         plan = transform._plan(n)
         radices = {radix for radix, _, _ in plan}
         assert n != 3**7 or radices == {3, 9}
+        assert n == 3**7 or 8 in radices
         tables = [w for _, w, _ in plan if w is not None]
         tables += list(transform._real_plan(n)) if n % 2 == 0 else []
-        tables += [transform._dft_matrix(radix) for radix in radices if radix % 3 == 0]
+        tables += [transform._dft_matrix(radix) for radix in radices if radix not in (2, 4)]
         assert {by_rows for _, _, by_rows in plan} == {False, True}
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
+
+    def test_radix_8_matrix_is_exact_at_quarter_turns(self):
+        f = transform._dft_matrix(8)
+        qj = np.outer(np.arange(8), np.arange(8)) % 8
+        quarter = qj % 2 == 0
+        assert f[quarter].tolist() == [[1, 1j, -1, -1j][k // 2] for k in qj[quarter]]
+        np.testing.assert_allclose(f[~quarter], np.exp(0.25j * np.pi * qj[~quarter]), atol=1e-15)
+
+    def test_plans_of_every_length_up_to_2_20(self, monkeypatch):
+        # A level's radix must depend on its length L alone: twiddle tables
+        # are cached by (L, by_rows) and shared between transform lengths.
+        radix_of = {}
+        for n in all_supported_up_to(2**20)[1:]:
+            monkeypatch.setattr(transform, "_PLANS", {})
+            monkeypatch.setattr(transform, "_TWIDDLES", {})
+            plan = transform._plan(n)
+            radices = [radix for radix, _, _ in plan]
+            assert math.prod(radices) == n
+            assert sum(radix in (2, 4) for radix in radices) <= 1
+            length = 1
+            for radix, w, by_rows in plan:
+                length *= radix
+                assert radix_of.setdefault(length, radix) == radix
+                shape = (radix, length // radix)
+                assert w is None if length == radix else w.shape == (shape if by_rows else shape[::-1])
+            assert len(transform._TWIDDLES) == len(plan) - 1
 
     def test_threads_share_the_caches(self, monkeypatch):
         # Four threads start from empty tables and build them concurrently;
