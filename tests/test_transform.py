@@ -135,9 +135,9 @@ class TestRoundTrip:
 class TestSharedTables:
     @pytest.mark.parametrize("n", [96, 3**7, 2**17])
     def test_tables_are_read_only(self, n):
-        # 96 and 2^17 have column and row phase levels and run radix-8 levels
-        # through its DFT matrix; 3^7 is odd, has no real path tables, and
-        # runs radix-3 and radix-9 levels through their DFT matrices.
+        # 96 and 2^17 have column and row phase levels and radix-8 levels;
+        # 3^7 is odd, has no real path tables, and runs only radix-3 and
+        # radix-9 levels.  Every matrix-product level's DFT matrix is written.
         plan = transform._plan(n)
         radices = {radix for radix, _, _ in plan}
         assert n != 3**7 or radices == {3, 9}
