@@ -16,15 +16,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .transform import (
-    TransformLedger,
-    as_series,
-    forward,
-    inverse,
-    next_supported,
-    require_finite,
-    require_unit_constant,
-)
+from .transform import TransformLedger, as_unit_series, forward, inverse, next_supported
 
 
 def _doubling_steps(n: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
@@ -59,9 +51,7 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
     of the product only lands below index k, where the result is already
     known, so indices k..2k-1 come out exact.
     """
-    f = as_series(f)
-    require_finite(f)
-    require_unit_constant(f)
+    f = as_unit_series(f)
     if n < 1:
         raise ValueError("precision must be >= 1")
     fx = np.zeros(n, dtype=np.complex128)
@@ -102,9 +92,7 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
     g^2 = f and g*v = 1 to order n; the blockwise square root takes both
     from its base case.
     """
-    f = as_series(f)
-    require_finite(f)
-    require_unit_constant(f)
+    f = as_unit_series(f)
     if n < 1:
         raise ValueError("precision must be >= 1")
     fx = np.zeros(n, dtype=np.complex128)

@@ -159,13 +159,12 @@ def run_bench(
     ns: list[int],
     blocks_list: list[int | None],
     seed: int = 0,
-    include_baselines: bool = True,
 ) -> list[BenchRecord]:
     """One record per (n, blocks) pair, plus a baseline row per n."""
     records = []
     for n in ns:
         for blocks in blocks_list:
             records.append(run_case(op, n, blocks=blocks, seed=seed))
-        if include_baselines and OPS[op].baseline:
+        if OPS[op].baseline:
             records.append(run_case(OPS[op].baseline, n, seed=seed))
     return records

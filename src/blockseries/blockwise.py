@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transform import TransformLedger, as_series, forward, inverse, is_supported
+from .transform import TransformLedger, _hermitian_fill, as_series, forward, inverse, is_supported
 
 
 class MissingSpectrumError(LookupError):
@@ -133,7 +133,7 @@ class TransformCache:
             return row
         out = np.empty(2 * self.block_size, dtype=np.complex128)
         out[: self.width] = row
-        _mirror(out)
+        _hermitian_fill(out)
         return out
 
     def _require(self, lo: int, hi: int) -> None:
@@ -142,12 +142,6 @@ class TransformCache:
         if False in self._computed[lo:hi]:
             missing = self._computed.index(False, lo, hi)
             raise MissingSpectrumError(f"block {missing} has no cached transform")
-
-
-def _mirror(spec: np.ndarray) -> None:
-    """Write bins m+1..2m-1 of a length-2m spectrum as conjugates of bins m-1..1."""
-    m = len(spec) // 2
-    np.conjugate(spec[m - 1 : 0 : -1], out=spec[m + 1 :])
 
 
 def _accumulate(acc: np.ndarray, scratch: np.ndarray, f_cache, g_cache, k: int, sign: int) -> None:
@@ -209,5 +203,5 @@ def combined_block(terms, ledger: TransformLedger) -> np.ndarray:
             raise ValueError("sign must be +1 or -1")
         _accumulate(head, scratch, fc, gc, k, sign)
     if real:
-        _mirror(acc)
+        _hermitian_fill(acc)
     return inverse(acc, ledger)[m:]

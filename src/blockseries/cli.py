@@ -48,10 +48,11 @@ def _read_coeff_lines(path: str) -> np.ndarray:
 def _read_coeff_file(path: str) -> np.ndarray:
     """One bulk parse when every line has the same width; otherwise the line reader.
 
-    The line reader takes every file loadtxt refuses or warns on: mixed `re` and
-    `re im` lines (as `compute` writes complex results), more than 2 columns,
-    tokens only ``float`` accepts (``1_0``, non-ASCII digits), and files with no
-    coefficient.  It alone names ``path:lineno`` in an error.
+    Every file `compute` writes has one width.  The line reader takes every
+    file loadtxt refuses or warns on: mixed `re` and `re im` lines (as a
+    hand-written file may have), more than 2 columns, tokens only ``float``
+    accepts (``1_0``, non-ASCII digits), and files with no coefficient.  It
+    alone names ``path:lineno`` in an error.
     """
     try:
         with warnings.catch_warnings():
@@ -83,14 +84,12 @@ def _parse_inline(text: str) -> np.ndarray:
 
 
 def _format_coeffs(coeffs: np.ndarray) -> str:
-    """One `%.17g` line per coefficient, `re` alone where the imaginary part is zero."""
+    """One `%.17g` line per coefficient of one width: `re` if every imaginary
+    part is zero (-0.0 included), else `re im` on every line."""
     if not coeffs.imag.any():
         return "%.17g\n" * len(coeffs) % tuple(coeffs.real.tolist())
-    zero_im = coeffs.imag == 0  # true for -0.0 as well
-    fmt = "".join(np.where(zero_im, "%.17g\n", "%.17g %.17g\n").tolist())
     pairs = np.column_stack([coeffs.real, coeffs.imag])
-    keep = np.column_stack([np.ones_like(zero_im), ~zero_im])
-    return fmt % tuple(pairs[keep].tolist())
+    return "%.17g %.17g\n" * len(coeffs) % tuple(pairs.ravel().tolist())
 
 
 def _write_coeffs(coeffs: np.ndarray, out: str | None, header: str) -> None:
@@ -209,8 +208,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
 @click.option("--n", "ns", required=True, help="Comma-separated list of precisions.")
 @click.option("--blocks", "blocks_list", help="Comma-separated block counts (default: auto).")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--no-baselines", is_flag=True, help="Skip the classical comparison rows.")
-def bench(op, ns, blocks_list, seed, no_baselines):
+def bench(op, ns, blocks_list, seed):
     """Print transform counts, weighted costs and oracle errors as JSON lines.
 
     Every field is deterministic; wall time is measured by perfbench.
@@ -219,9 +217,7 @@ def bench(op, ns, blocks_list, seed, no_baselines):
     _require_positive_n(op, n_values)
     blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list is not None else [None]
     try:
-        records = run_bench(
-            op, n_values, blocks_values, seed=seed, include_baselines=not no_baselines
-        )
+        records = run_bench(op, n_values, blocks_values, seed=seed)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -23,14 +23,7 @@ from .blockwise import (
     product_block,
 )
 from .plan import RECIP, BlockPlan, choose_plan
-from .transform import (
-    TransformLedger,
-    as_series,
-    forward,
-    inverse,
-    require_finite,
-    require_unit_constant,
-)
+from .transform import TransformLedger, as_series, as_unit_series, forward, inverse
 
 
 def choose_params(n: int, blocks_override: int | None = None) -> BlockPlan:
@@ -117,9 +110,7 @@ def recip(
     Base-case transforms are counted in base_ledger (a private one if not
     given), keeping the main ledger's 13s - 3 count exact.
     """
-    f = as_series(f)
-    require_finite(f)
-    require_unit_constant(f)
+    f = as_unit_series(f)
     plan = choose_params(n, blocks)
     fs = decompose(f[:n], plan.block_size, 3 * plan.blocks)
     base = base_ledger if base_ledger is not None else TransformLedger()

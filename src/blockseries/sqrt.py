@@ -31,10 +31,10 @@ from .plan import SQRT, BlockPlan, choose_plan
 from .transform import (
     TransformLedger,
     as_series,
+    as_unit_series,
     forward,
     inverse,
     require_finite,
-    require_unit_constant,
 )
 
 
@@ -115,9 +115,7 @@ def sqrt(
     Base-case transforms are counted in base_ledger (a private one if not
     given), keeping the main ledger's 4*blocks - 3 count exact.
     """
-    f = as_series(f)
-    require_finite(f)
-    require_unit_constant(f)
+    f = as_unit_series(f)
     plan = choose_params(n, blocks)
     fs = decompose(f[:n], plan.block_size, plan.blocks)
     base = base_ledger if base_ledger is not None else TransformLedger()

@@ -380,7 +380,11 @@ def _inverse_half(s: Spectrum) -> np.ndarray:
 
 
 def _hermitian_fill(s: Spectrum) -> None:
-    """Make s exactly Hermitian in place from bins 0..n/2."""
+    """Make s exactly Hermitian in place from bins 0..n/2.
+
+    Also fills the real block spectra of blockwise: combined_block's spectrum
+    before its inverse, and the full spectrum TransformCache.spectrum returns.
+    """
     n = len(s)
     imag = s.imag
     imag[0] = 0.0
@@ -410,12 +414,16 @@ def require_finite(f: Poly) -> None:
         raise ValueError(f"non-finite coefficient at index {bad[0]}: {complex(f[bad[0]])}")
 
 
-def require_unit_constant(f: Poly) -> None:
-    """Reject series whose constant term is not exactly 1."""
+def as_unit_series(f) -> Poly:
+    """The input of sqrt, recip and the doubling routines: a 1-D complex128
+    series, finite, with constant term exactly 1, checked in that order."""
+    f = as_series(f)
+    require_finite(f)
     if len(f) == 0:
         raise ValueError("series must have constant term 1, got an empty series")
     if f[0] != 1.0:
         raise ValueError(f"series must have constant term 1, got {complex(f[0])}")
+    return f
 
 
 def forward(p, n: int, ledger: TransformLedger) -> Spectrum:

@@ -40,7 +40,3 @@ class TestRunBench:
     def test_sqrt_baseline(self):
         records = run_bench("sqrt", [64], [None], seed=0)
         assert [r.op for r in records] == ["sqrt", "sqrt_newton_coupled"]
-
-    def test_no_baselines(self):
-        records = run_bench("sqrt", [64], [2], include_baselines=False)
-        assert [r.op for r in records] == ["sqrt"]

@@ -256,8 +256,10 @@ def read_outcome(read, path):
 
 
 def reference_text(coeffs):
-    """The per-coefficient format the bulk writer must reproduce byte for byte."""
-    lines = [f"{c.real:.17g} {c.imag:.17g}" if c.imag else f"{c.real:.17g}"
+    """The per-coefficient format the bulk writer must reproduce byte for byte:
+    `re im` on every line if any imaginary part is nonzero, else `re`."""
+    cplx = any(c.imag for c in coeffs.tolist())
+    lines = [f"{c.real:.17g} {c.imag:.17g}" if cplx else f"{c.real:.17g}"
              for c in coeffs.tolist()]
     return "\n".join(lines) + "\n"
 
@@ -285,11 +287,15 @@ class TestCoeffFiles:
             got = read_outcome(cli._read_coeff_file, path)
         assert got == want
 
-    @pytest.mark.parametrize("text", ["1\n-0.0\ninf\n5e-324\n", "1 0\n-0.5 inf\nnan -0.0\n"],
-                             ids=["one-column", "two-column"])
+    @pytest.mark.parametrize("text", ["1\n-0.0\ninf\n5e-324\n", "1 0\n-0.5 inf\nnan -0.0\n",
+                                      None], ids=["one-column", "two-column", "complex-result"])
     def test_one_width_file_takes_one_bulk_parse(self, tmp_path, monkeypatch, text):
         path = tmp_path / "f.txt"
-        path.write_text(text)
+        if text is None:  # its constant term 1 has a zero imaginary part
+            g = blockseries.recip([1, 0.5j], 8, blockseries.TransformLedger())
+            cli._write_coeffs(g, str(path), "recip to order 8")
+        else:
+            path.write_text(text)
         want = read_outcome(cli._read_coeff_lines, path)
 
         def no_line_reader(path):
@@ -330,10 +336,8 @@ class TestCoeffFiles:
         coeffs = complex_from(draw(), draw() if kind == "complex" else 0.0)
         coeffs.real[:4] = [-0.0, np.inf, -np.inf, 5e-324]
         if kind == "complex":
-            # Mixed widths: these lines print `re` alone.  So does a -0.0
-            # imaginary part, which therefore reads back as 0.0.
             coeffs.imag[::7] = 0.0
-            coeffs.imag[coeffs.imag == 0] = 0.0
+            coeffs.imag[3::7] = -0.0
             coeffs.imag[1] = -np.inf
         path = tmp_path / "g.txt"
         cli._write_coeffs(coeffs, str(path), "roundtrip")
@@ -378,7 +382,7 @@ class TestBench:
     def test_empty_list_token_usage_error(self, runner, option, text, pos):
         # Every token must parse: skipping one would silently drop a case.
         args = ["--n", "64", option, text] if option == "--blocks" else [option, text]
-        result = runner.invoke(main, ["bench", "sqrt", *args, "--no-baselines"])
+        result = runner.invoke(main, ["bench", "sqrt", *args])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"{option} token {pos}: expected an integer, got ''" in result.stderr
