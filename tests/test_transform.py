@@ -93,6 +93,14 @@ class TestInverse:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("n", all_supported_up_to(2**14))
+    def test_all_supported_sizes(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        led = TransformLedger()
+        got = inverse(forward(p, n, led), led)
+        assert np.abs(got - p).max() <= 1e-10
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(min_value=0, max_value=6),
