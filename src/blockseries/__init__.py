@@ -7,20 +7,16 @@ goes through an explicit ledger so those counts are exact integers, not
 estimates.  Classical doubling algorithms are included as base-case providers
 and benchmark comparators, and O(n^2) coefficient recurrences serve as
 independent oracles.
+
+The names in __all__ are the public API, and each checks its arguments.  The
+block kernels behind them (blockwise.py and the two block iterations) are
+internal: they trust their callers and state their contracts in docstrings.
 """
 
 from .baselines import recip_schonhage, sqrt_newton_coupled
-from .blockwise import (
-    BlockSeries,
-    MissingSpectrumError,
-    TransformCache,
-    combined_block,
-    decompose,
-    product_block,
-)
 from .plan import BlockPlan
-from .recip import recip, recip_block_iter
-from .sqrt import choose_params, sqrt, sqrt_block_iter, sqrt_rem
+from .recip import recip
+from .sqrt import choose_params, sqrt, sqrt_rem
 from .transform import (
     Poly,
     Spectrum,
@@ -36,26 +32,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockPlan",
-    "BlockSeries",
-    "MissingSpectrumError",
     "Poly",
     "Spectrum",
-    "TransformCache",
     "TransformLedger",
     "UnsupportedLengthError",
     "choose_params",
-    "combined_block",
-    "decompose",
     "forward",
     "inverse",
     "is_supported",
     "next_supported",
-    "product_block",
     "recip",
-    "recip_block_iter",
     "recip_schonhage",
     "sqrt",
-    "sqrt_block_iter",
     "sqrt_newton_coupled",
     "sqrt_rem",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transform import TransformLedger, _hermitian_fill, as_series, forward, inverse, is_supported
+from .transform import TransformLedger, _hermitian_fill, as_series, forward, inverse
 
 
 class MissingSpectrumError(LookupError):
@@ -34,13 +34,12 @@ class MissingSpectrumError(LookupError):
 class BlockSeries:
     """A series split into length-m blocks, stored as rows of one array.
 
-    A real series (``real=True``) accepts only finite blocks with zero
-    imaginary part, and its caches store half-width spectra.
+    The caller keeps 2m a supported length, appends at most ``capacity`` blocks
+    of at most m coefficients each, and appends to a real series (``real=True``,
+    whose caches store half-width spectra) only blocks with zero imaginary part.
     """
 
     def __init__(self, block_size: int, capacity: int, real: bool = False):
-        if block_size < 1 or not is_supported(2 * block_size):
-            raise ValueError(f"block size {block_size} needs 2m = 2^a * 3^b")
         self.block_size = block_size
         self.capacity = capacity
         self.real = real
@@ -54,14 +53,6 @@ class BlockSeries:
 
     def append(self, block) -> None:
         """Add the next block, zero-padded to the block size."""
-        block = as_series(block)
-        if len(block) > self.block_size:
-            raise ValueError("block longer than block size")
-        if self.num_blocks == self.capacity:
-            raise ValueError(f"series is full at its capacity of {self.capacity} blocks")
-        # A non-finite block is left for the next transform to report.
-        if self.real and np.count_nonzero(block.imag) and np.isfinite(block).all():
-            raise ValueError("cannot append a complex block to a real series")
         self.rows[self.num_blocks, : len(block)] = block
         self.num_blocks += 1
 
@@ -109,9 +100,7 @@ class TransformCache:
         return self.series.block_size
 
     def ensure(self, i: int, ledger: TransformLedger) -> None:
-        """Transform block i on first access and store bins 0..width-1."""
-        if i < 0 or i >= self.series.num_blocks:
-            raise IndexError(f"block index {i} out of range")
+        """Transform block i, 0 <= i < num_blocks, on first access and store bins 0..width-1."""
         if self._computed[i]:
             return
         spec = forward(self.series.rows[i], 2 * self.block_size, ledger)[: self.width]
@@ -124,9 +113,7 @@ class TransformCache:
         self._computed[i] = True
 
     def spectrum(self, i: int) -> np.ndarray:
-        """The full length-2m spectrum of computed block i."""
-        if self.spectra is None:
-            raise ValueError("cache keeps no spectra rows")
+        """The full length-2m spectrum of computed block i of a cache that keeps spectra rows."""
         self._require(i, i + 1)
         row = self.spectra[i]
         if not self.series.real:
@@ -178,29 +165,17 @@ def product_block(
 def combined_block(terms, ledger: TransformLedger) -> np.ndarray:
     """Block of a signed sum of products, still with one inverse transform.
 
-    ``terms`` is a sequence of (f_cache, g_cache, k, sign): the term adds
-    sign * (block k of f*g), sign = +1 or -1.  All caches must share one
-    block size and be all real or all complex; each f_cache must keep
-    folded rows and each g_cache spectra rows.
+    ``terms`` is a non-empty sequence of (f_cache, g_cache, k, sign): the term
+    adds sign * (block k of f*g), sign = +1 or -1.  The caller passes caches
+    that share one block size and are all real or all complex, each f_cache
+    keeping folded rows and each g_cache spectra rows.
     """
-    if not terms:
-        raise ValueError("need at least one term")
     first = terms[0][0]
     m, real = first.block_size, first.series.real
     acc = np.zeros(2 * m, dtype=np.complex128)
     head = acc[: first.width]
     scratch = np.empty_like(head)
     for fc, gc, k, sign in terms:
-        if fc.block_size != m or gc.block_size != m:
-            raise ValueError("block size mismatch between factors")
-        if fc.series.real != real or gc.series.real != real:
-            raise ValueError("cannot mix real and complex caches in one block")
-        if fc.folded is None:
-            raise ValueError("left factor's cache keeps no folded rows")
-        if gc.spectra is None:
-            raise ValueError("right factor's cache keeps no spectra rows")
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
         _accumulate(head, scratch, fc, gc, k, sign)
     if real:
         _hermitian_fill(acc)

@@ -148,7 +148,7 @@ def _cheapest_blocks(scheme: Scheme, n: int) -> int:
 
 
 def choose_plan(scheme: Scheme, n: int, blocks: int | None = None) -> BlockPlan:
-    """Plan for precision n: the cheapest block count, or the given one."""
+    """Plan for n coefficients: the cheapest block count, or the given one."""
     if n < 1:
         raise ValueError("precision must be >= 1")
     # Beyond ceil(n / unit) blocks of size 1, every further block is padding.
@@ -156,5 +156,5 @@ def choose_plan(scheme: Scheme, n: int, blocks: int | None = None) -> BlockPlan:
     if blocks is None:
         blocks = _cheapest_blocks(scheme, n)
     elif not 1 <= blocks <= limit:
-        raise ValueError(f"block count {blocks} is outside 1..{limit} for precision {n}")
+        raise ValueError(f"block count {blocks} is outside 1..{limit} for {n} coefficients")
     return BlockPlan(n, blocks, block_size(scheme, n, blocks))

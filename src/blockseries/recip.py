@@ -23,7 +23,7 @@ from .blockwise import (
     product_block,
 )
 from .plan import RECIP, BlockPlan, choose_plan
-from .transform import TransformLedger, as_series, as_unit_series, forward, inverse
+from .transform import TransformLedger, as_unit_series, forward, inverse
 
 
 def choose_params(n: int, blocks_override: int | None = None) -> BlockPlan:
@@ -39,17 +39,11 @@ def recip_block_iter(
 ) -> np.ndarray:
     """Inverse of f to 3s*m coefficients from a length-m base case g0.
 
-    The input's constant term must be 1 and f must supply at least 3s blocks.
-    Adds exactly 13s - 3 length-2m transforms to the ledger.
+    The input's constant term must be 1, s >= 1, f must supply at least 3s
+    blocks of size m and g0 must have m coefficients.  Adds exactly 13s - 3
+    length-2m transforms to the ledger.
     """
     m = f.block_size
-    if s < 1:
-        raise ValueError("block count must be >= 1")
-    if f.num_blocks < 3 * s:
-        raise ValueError(f"need {3 * s} input blocks, have {f.num_blocks}")
-    g0 = as_series(g0)
-    if len(g0) != m:
-        raise ValueError("base-case block must match the block size")
 
     # Each cache keeps only the rows it is read through: f and the partial
     # inverse are only ever the left and the right factor of a product.

@@ -59,19 +59,11 @@ def _sqrt_blocks(
 ) -> tuple[BlockSeries, TransformCache]:
     """Run the block iteration, returning the root blocks and their cache.
 
-    The returned cache holds spectra for blocks 0..blocks-2 (the final block's
-    spectrum is never needed by the iteration itself).
+    f supplies at least ``blocks`` >= 1 blocks of size m, and g0 and g0_inv have
+    m coefficients each.  The returned cache holds spectra for blocks
+    0..blocks-2 (the final block's spectrum is never needed by the iteration).
     """
     m = f.block_size
-    if blocks < 1:
-        raise ValueError("block count must be >= 1")
-    if f.num_blocks < blocks:
-        raise ValueError(f"need {blocks} input blocks, have {f.num_blocks}")
-    g0 = as_series(g0)
-    g0_inv = as_series(g0_inv)
-    if len(g0) != m or len(g0_inv) != m:
-        raise ValueError("base-case blocks must match the block size")
-
     inv_spec = forward(g0_inv, 2 * m, ledger)
     root = BlockSeries(m, blocks, real=f.real)
     root.append(g0)

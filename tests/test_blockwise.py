@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockseries import (
+from blockseries import TransformLedger, blockwise, forward, inverse, oracle
+from blockseries.blockwise import (
     BlockSeries,
     MissingSpectrumError,
     TransformCache,
-    TransformLedger,
     combined_block,
     decompose,
-    forward,
-    inverse,
     product_block,
 )
-from blockseries import blockwise, oracle
 from blockseries.checks import block_of
 from blockseries.checks import warm_caches as warm
 
@@ -55,16 +52,9 @@ class TestDecompose:
         want[: min(length, t * m)] = f[: t * m]
         np.testing.assert_array_equal(bs.recompose(), want)
 
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            BlockSeries(5, 1)  # 10 = 2 * 5 is not 3-smooth
-
-    def test_append_past_capacity(self):
-        bs = BlockSeries(2, 1)
-        bs.append([1, 2])
-        with pytest.raises(ValueError, match="capacity"):
-            bs.append([3])
-        np.testing.assert_array_equal(bs.recompose(), [1, 2])
+    def test_refuses_more_than_one_dimension(self):
+        with pytest.raises(ValueError, match="coefficient sequence must be one-dimensional"):
+            decompose(np.eye(2), 2, 2)
 
 
 class TestTransformCache:
@@ -157,13 +147,6 @@ class TestProductBlock:
             want = schoolbook_block(f, g, k, m)
             assert np.abs(got - want).max() <= 1e-9
 
-    def test_block_size_mismatch(self):
-        led = TransformLedger()
-        fc, _ = warm([1, 2], [1, 2], 2, 1, led)
-        _, gc = warm([1], [1], 1, 1, led)
-        with pytest.raises(ValueError, match="mismatch"):
-            product_block(fc, gc, 0, led)
-
     def test_factor_with_fewer_blocks_than_k(self):
         # g has one block, so block 3 of f*g only meets f's blocks 2 and 3.
         rng = np.random.default_rng(14)
@@ -211,14 +194,6 @@ class TestCombinedBlock:
             combined_block(terms, led)
             assert led.since(start).record == [-2 * m]
 
-    def test_validation(self):
-        led = TransformLedger()
-        fc, gc = warm([1, 2], [3, 4], 2, 1, led)
-        with pytest.raises(ValueError):
-            combined_block([], led)
-        with pytest.raises(ValueError):
-            combined_block([(fc, gc, 0, 2)], led)
-
     def test_terms_at_different_block_indices(self):
         # Block 1 of f*g minus block 2 of d*d, with one inverse transform.
         rng = np.random.default_rng(13)
@@ -234,7 +209,6 @@ class TestCombinedBlock:
         assert led.since(start).record == [-2 * m]
         want = schoolbook_block(f, g, 1, m) - schoolbook_block(d, d, 2, m)
         assert np.abs(got - want).max() <= 1e-9
-
 
 
 def filled_cache(coeffs, m, nb, real, ledger):
@@ -354,39 +328,3 @@ class TestHalfWidth:
         assert len(inputs) == len(partial) == 1
         assert inputs[0].spectra is None and inputs[0].folded is not None
         assert partial[0].folded is None and partial[0].spectra is not None
-
-
-class TestGuards:
-    def test_complex_block_into_real_series(self):
-        bs = decompose([1.0, 2.0], 2, 2)
-        bs.num_blocks = 1
-        with pytest.raises(ValueError, match="complex block to a real series"):
-            bs.append([1, 1j])
-        for bad in (lambda: bs.append(np.eye(2)), lambda: decompose(np.eye(2), 2, 2)):
-            with pytest.raises(ValueError, match="coefficient sequence must be one-dimensional"):
-                bad()
-
-    def test_real_and_complex_caches_do_not_mix(self):
-        led = TransformLedger()
-        rc, _ = warm([1, 2], [1, 2], 2, 1, led)
-        cc, _ = warm([1, 2j], [1, 2j], 2, 1, led)
-        with pytest.raises(ValueError, match="mix real and complex"):
-            combined_block([(rc, rc, 0, +1), (cc, cc, 0, -1)], led)
-        with pytest.raises(ValueError, match="mix real and complex"):
-            product_block(rc, cc, 0, led)
-
-    def test_left_factor_needs_folded_rows(self):
-        led = TransformLedger()
-        fc = TransformCache(decompose([1, 2], 2, 1), folded=False)
-        fc.ensure(0, led)
-        with pytest.raises(ValueError, match="left factor's cache keeps no folded rows"):
-            product_block(fc, fc, 0, led)
-
-    def test_right_factor_needs_spectra_rows(self):
-        led = TransformLedger()
-        gc = TransformCache(decompose([1, 2], 2, 1), spectra=False)
-        gc.ensure(0, led)
-        with pytest.raises(ValueError, match="right factor's cache keeps no spectra rows"):
-            product_block(gc, gc, 0, led)
-        with pytest.raises(ValueError, match="cache keeps no spectra rows"):
-            gc.spectrum(0)

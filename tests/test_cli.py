@@ -130,6 +130,10 @@ class TestCompute:
         )
         assert result.exit_code == 1
         assert "block count 11 is outside 1..10" in result.stderr
+        # The root of 1 + x^2 has 2 coefficients, and the message counts those.
+        result = runner.invoke(main, ["compute", "sqrtrem", "--coeffs", "1,0,1", "--blocks", "5"])
+        assert result.exit_code == 1
+        assert "block count 5 is outside 1..2 for 2 coefficients" in result.stderr
         result = runner.invoke(
             main, ["compute", "sqrt", "--coeffs", "1.000000000001,1", "--n", "3"]
         )

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from blockseries import TransformLedger, decompose, recip, recip_block_iter
-from blockseries import oracle
+from blockseries import TransformLedger, oracle, recip
+from blockseries.blockwise import decompose
 from blockseries.corpus import conditioned_series, random_series
 from blockseries.plan import RECIP, predicted_ns
-from blockseries.recip import choose_params
+from blockseries.recip import choose_params, recip_block_iter
 
 
 class TestChooseParams:
@@ -51,15 +51,6 @@ class TestBlockIteration:
         got = recip_block_iter(fs, g0, s, TransformLedger())
         want = oracle.recip_recurrence(f, 3 * s * m)
         assert np.abs(got - want).max() <= 1e-8
-
-    def test_validation(self):
-        f = decompose([1, 0, 0], 1, 3)
-        with pytest.raises(ValueError):
-            recip_block_iter(f, [1], 0, TransformLedger())
-        with pytest.raises(ValueError):
-            recip_block_iter(f, [1, 0], 1, TransformLedger())
-        with pytest.raises(ValueError):
-            recip_block_iter(f, [1], 2, TransformLedger())
 
 
 class TestRecip:

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blockseries import (
-    TransformLedger,
-    choose_params,
-    decompose,
-    sqrt,
-    sqrt_block_iter,
-    sqrt_rem,
-)
-from blockseries import oracle
+from blockseries import TransformLedger, choose_params, oracle, sqrt, sqrt_rem
+from blockseries.blockwise import decompose
 from blockseries.bench import OPS
 from blockseries.corpus import (
     conditioned_monic,
@@ -22,7 +15,7 @@ from blockseries.corpus import (
     sparse_dyadic_square,
 )
 from blockseries.plan import SQRT, predicted_ns
-from blockseries.sqrt import rem_params
+from blockseries.sqrt import rem_params, sqrt_block_iter
 
 
 def oracle_base(f_block, m):
@@ -94,15 +87,6 @@ class TestBlockIteration:
         got = sqrt_block_iter(fs, g0, g0_inv, blocks, TransformLedger())
         want = oracle.sqrt_recurrence(f, m * blocks)
         assert np.abs(got - want).max() <= 1e-10
-
-    def test_validation(self):
-        f = decompose([1, 0, 0, 0], 2, 2)
-        with pytest.raises(ValueError):
-            sqrt_block_iter(f, [1, 0], [1, 0], 0, TransformLedger())
-        with pytest.raises(ValueError):
-            sqrt_block_iter(f, [1], [1, 0], 2, TransformLedger())
-        with pytest.raises(ValueError):
-            sqrt_block_iter(f, [1, 0], [1, 0], 3, TransformLedger())
 
 
 class TestSqrt:
