@@ -17,6 +17,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .transform import TransformLedger, as_unit_series, forward, inverse, next_supported
+from .transform import require_finite_result
 
 
 def _doubling_steps(n: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
@@ -65,7 +66,7 @@ def recip_schonhage(f, n: int, ledger: TransformLedger) -> np.ndarray:
         newg[:k] = g
         newg[k:] = -prod[k:k2]
         g = newg
-    return g
+    return require_finite_result(g, f"recip_schonhage to order {n}")
 
 
 def sqrt_newton_coupled_schedule(n: int) -> list[tuple[int, str, int]]:
@@ -112,4 +113,5 @@ def sqrt_newton_coupled(f, n: int, ledger: TransformLedger) -> tuple[np.ndarray,
     # Its other spectra are freed first, so the product can reuse their memory.
     del vs, w
     g = inverse(fs * forward(v, length, ledger), ledger)[:n]
-    return g, v
+    return (require_finite_result(g, f"sqrt_newton_coupled root to order {n}"),
+            require_finite_result(v, f"sqrt_newton_coupled inverse root to order {n}"))

@@ -175,8 +175,8 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
         fn = globals()[spec.fn.__name__]
         t0 = time.perf_counter_ns()
         # A finite input can overflow inside the iteration; the transform's
-        # non-finite check reports that as the one `error:` line below, so
-        # numpy's own overflow warnings would only repeat it.
+        # or the op's non-finite check reports that as the one `error:` line
+        # below, so numpy's own overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             result = spec.run(fn, f, n, ledger, blocks, base)
         wall = time.perf_counter_ns() - t0
@@ -198,7 +198,7 @@ def compute(op, coeffs, infile, random_input, n, blocks, seed, out):
             f"base_transforms={base.total()} wall_ms={wall / 1e6:.2f}",
             err=True,
         )
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -218,7 +218,7 @@ def bench(op, ns, blocks_list, seed):
     blocks_values = _parse_int_list(blocks_list, "--blocks") if blocks_list is not None else [None]
     try:
         records = run_bench(op, n_values, blocks_values, seed=seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     for rec in records:

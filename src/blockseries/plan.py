@@ -42,14 +42,16 @@ from .transform import next_supported
 # now run as one matrix product each, which took lengths with a 3-part of 9
 # or more to 0.3-0.6 of their time, so THREE_FACTOR overstates the 3-part;
 # it stays so that no plan moves until the refit.  The 2-part runs in radix-8
-# matrix products too, at 0.26-0.80 of the time at 2^a lengths, so the
-# TRANSFORM_* terms overstate 2-part lengths further.  Accumulate: the per-step
-# time of an early per-block loop, at block sizes 1..2^16; kept so plans stay
-# as they were until a refit.  blockwise._accumulate now streams each pair of
-# rows through one multiply and one add: about 1.6 us fixed and 2.2 ns per
-# point per step on full-width rows (2m = 16..32768, same machine), against
-# the 3.5 us and 6.0 ns below, so these overstate the accumulate term about
-# 2.5x, and about 5x for a real series, whose caches keep bins 0..m only.
+# and radix-4 matrix products too, at 0.26-0.80 of the time at 2^a lengths
+# and a further median 0.81 at lengths with a radix-4 level, so the
+# TRANSFORM_* terms overstate 2-part lengths further; they stay too, so no
+# plan moves.  Accumulate: the per-step time of an early per-block loop, at
+# block sizes 1..2^16; kept so plans stay as they were until a refit.
+# blockwise._accumulate now streams each pair of rows through one multiply
+# and one add: about 1.6 us fixed and 2.2 ns per point per step on
+# full-width rows (2m = 16..32768, same machine), against the 3.5 us and
+# 6.0 ns below, so these overstate the accumulate term about 2.5x, and about
+# 5x for a real series, whose caches keep bins 0..m only.
 # Glue: the end-to-end time of a block-count sweep (sqrt and recip,
 # n = 2^6..2^18, k = 1..max) left over after the terms above, fitted per main
 # transform.

@@ -23,7 +23,7 @@ from .blockwise import (
     product_block,
 )
 from .plan import RECIP, BlockPlan, choose_plan
-from .transform import TransformLedger, as_unit_series, forward, inverse
+from .transform import TransformLedger, as_unit_series, forward, inverse, require_finite_result
 
 
 def choose_params(n: int, blocks_override: int | None = None) -> BlockPlan:
@@ -109,4 +109,5 @@ def recip(
     fs = decompose(f[:n], plan.block_size, 3 * plan.blocks)
     base = base_ledger if base_ledger is not None else TransformLedger()
     g0 = baselines.recip_schonhage(fs.blocks[0], plan.block_size, base)
-    return recip_block_iter(fs, g0, plan.blocks, ledger)[:n]
+    g = recip_block_iter(fs, g0, plan.blocks, ledger)[:n]
+    return require_finite_result(g, f"recip to order {n}")

@@ -35,6 +35,7 @@ from .transform import (
     forward,
     inverse,
     require_finite,
+    require_finite_result,
 )
 
 
@@ -112,7 +113,8 @@ def sqrt(
     fs = decompose(f[:n], plan.block_size, plan.blocks)
     base = base_ledger if base_ledger is not None else TransformLedger()
     g0, g0_inv = baselines.sqrt_newton_coupled(fs.blocks[0], plan.block_size, base)
-    return sqrt_block_iter(fs, g0, g0_inv, plan.blocks, ledger)[:n]
+    g = sqrt_block_iter(fs, g0, g0_inv, plan.blocks, ledger)[:n]
+    return require_finite_result(g, f"sqrt to order {n}")
 
 
 def sqrt_rem(
@@ -194,4 +196,6 @@ def sqrt_rem(
 
     g[:] = flat[:ncoeff][::-1]
     rem[:] = diff[ncoeff:][::-1]
-    return g, rem
+    at = f"at half-degree {half_deg}"
+    return (require_finite_result(g, f"sqrt_rem root {at}"),
+            require_finite_result(rem, f"sqrt_rem remainder {at}"))

@@ -5,9 +5,9 @@ positive orientation, ``result[j] = p(e^{+2*pi*i*j/n})``; the inverse applies
 the conjugate transform scaled by 1/n.  Supported lengths are the 3-smooth
 integers 2^a * 3^b up to 2^64, listed in _SUPPORTED, handled by a mixed-radix
 decimation in time run as an autosort (Stockham) level loop (see _dft): the
-2-part in radix-8 levels and at most one add-only radix-4 or radix-2 butterfly,
-the 3-part in radix-9/3 levels, each level but the butterfly one product with
-the radix's DFT matrix.  Each level's twiddle table is built
+2-part in radix-8 levels and at most one radix-4 or radix-2 level, the 3-part
+in radix-9 levels and at most one radix-3 level, each level but radix 2 one
+product with the radix's DFT matrix.  Each level's twiddle table is built
 once per level length as the level multiplies it in memory order: (radix,
 L/radix) for the row phase, its transpose for the column phase's short tables.
 Every cached table is read-only, so concurrent transforms share them.
@@ -126,9 +126,6 @@ def next_supported(n: int) -> int:
     return _SUPPORTED[bisect_left(_SUPPORTED, n)]
 
 
-# Longest stretch of a block that one butterfly pass covers (see _butterfly).
-_CHUNK = 8192
-
 # Shortest length whose levels run with numpy's ufunc buffer at _BUFSIZE
 # points (see _dft); below it the saving does not cover the two calls.
 _UNBUFFERED_FROM = 2048
@@ -147,7 +144,7 @@ _PLANS: dict[int, list[tuple[int, np.ndarray | None, bool]]] = {}
 # phase level, its transpose (L/radix, radix) for a column phase level.
 _TWIDDLES: dict[tuple[int, bool], np.ndarray] = {}
 
-# radix (3, 8 or 9) -> its DFT matrix F[q, j] = e^(2*pi*i*q*j/radix).
+# radix (3, 4, 8 or 9) -> its DFT matrix F[q, j] = e^(2*pi*i*q*j/radix).
 _DFT_MATRICES: dict[int, np.ndarray] = {}
 
 # length -> (a, conj(a[:n/2])) with a[j] = (1 - i*w^j)/2, j = 0..n/2,
@@ -241,18 +238,17 @@ def _dft(x: np.ndarray) -> np.ndarray:
 
     Autosort (Stockham) levels on a (rows, cols) view whose column c holds the
     length-rows DFT of x[c::cols]: a level of radix r twiddles r column blocks
-    and combines them into r row blocks (see _butterfly: add-only for radix 2
-    and 4, one matrix product for radix 3, 8 and 9).  Once cols/r < rows, one
-    transpose copy makes the view (cols, rows), whose blocks are contiguous
-    row slabs, so every ufunc runs over inner loops of about sqrt(n) or more
-    (Cochran et al. 1967; Bailey 1990).  Each level's twiddles are applied in
-    memory order: a column phase level multiplies the natural (rows, radix,
-    cols) view by its (rows, radix) table, each factor spanning a contiguous
-    run of cols points, and a row phase level multiplies the (radix, cols,
-    rows) view by its (radix, rows) table.  Levels alternate between two
-    length-n buffers, twiddled in place, plus a temporary of at most 4 * _CHUNK
-    points if a level is radix 4: the working memory is about 2n, and x is
-    never written.
+    and combines them into r row blocks (see _butterfly: one add and one
+    subtract for radix 2, one matrix product for every other radix).  Once
+    cols/r < rows, one transpose copy makes the view (cols, rows), whose
+    blocks are contiguous row slabs, so every ufunc runs over inner loops of
+    about sqrt(n) or more (Cochran et al. 1967; Bailey 1990).  Each level's
+    twiddles are applied in memory order: a column phase level multiplies the
+    natural (rows, radix, cols) view by its (rows, radix) table, each factor
+    spanning a contiguous run of cols points, and a row phase level multiplies
+    the (radix, cols, rows) view by its (radix, rows) table.  Levels alternate
+    between two length-n buffers, twiddled in place, and need no other
+    temporary: the working memory is 2n, and x is never written.
 
     Every ufunc here runs inner loops of at least sqrt(n / 9) contiguous or
     broadcast points over 2-D or 3-D views.  numpy copies such operands
@@ -280,8 +276,6 @@ def _levels(x: np.ndarray) -> np.ndarray:
     n = len(x)
     levels = _plan(n)
     bufs = [np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)]
-    has_4 = any(radix == 4 for radix, _, _ in levels)
-    tmp = np.empty(4 * min(n // 4, _CHUNK), dtype=np.complex128) if has_4 else None
     y, rows, cols, transposed = x, 1, n, False
     for radix, w, by_rows in levels:
         cols //= radix
@@ -300,41 +294,23 @@ def _levels(x: np.ndarray) -> np.ndarray:
                 v *= w[:, :, None]
             z = v.transpose(1, 0, 2)
             o = out.reshape(radix, rows, cols)
-        _butterfly(z, o, tmp)
+        _butterfly(z, o)
         y, rows = out, rows * radix
     return y
 
 
-def _butterfly(z: np.ndarray, out: np.ndarray, tmp: np.ndarray | None) -> None:
-    """out[q] = sum_j e^(2*pi*i*j*q/radix) z[j] for radix = len(z), through tmp.
+def _butterfly(z: np.ndarray, out: np.ndarray) -> None:
+    """out[q] = sum_j e^(2*pi*i*j*q/radix) z[j] for radix = len(z).
 
-    Radix 3, 8 and 9: one stacked product of the DFT matrix with the level's
-    view, written straight into out.  Radix 2 and 4 (matrices of +-1, +-i):
-    add-only ufunc calls, each covering two blocks (same sums, same order), a
-    chunk of rows or columns at a time past _CHUNK, so tmp stays in cache.
+    Radix 2: one add and one subtract.  Every other radix: one stacked
+    product of the DFT matrix with the level's view, written straight into
+    out; at radix 2 the product measured slower.
     """
-    radix = len(z)
-    if radix not in (2, 4):
-        np.matmul(_dft_matrix(radix), z.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
-        return
-    size = z.size // radix
-    if radix == 2:
+    if len(z) == 2:
         np.add(z[0], z[1], out=out[0])
         np.subtract(z[0], z[1], out=out[1])
-        return
-    if size > _CHUNK:
-        axis = 1 if z.shape[1] > 1 else 2
-        step = max(1, z.shape[axis] * _CHUNK // size)
-        for a in range(0, z.shape[axis], step):
-            part = (slice(None),) * axis + (slice(a, a + step),)
-            _butterfly(z[part], out[part], tmp)
-        return
-    pairs = tmp[: 4 * size].reshape((2, 2) + z.shape[1:])
-    np.add(z[:2], z[2:], out=pairs[0])  # s = z0 + z2, t = z1 + z3
-    np.subtract(z[:2], z[2:], out=pairs[1])  # d = z0 - z2, u = z1 - z3
-    np.multiply(1j, pairs[1, 1], out=pairs[1, 1])  # 1j*u
-    np.add(pairs[:, 0], pairs[:, 1], out=out[:2])  # s + t, d + 1j*u
-    np.subtract(pairs[:, 0], pairs[:, 1], out=out[2:])  # s - t, d - 1j*u
+    else:
+        np.matmul(_dft_matrix(len(z)), z.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
 
 
 def _forward_half(x: np.ndarray, n: int) -> Spectrum:
@@ -412,6 +388,16 @@ def require_finite(f: Poly) -> None:
     bad = np.flatnonzero(~np.isfinite(f))
     if len(bad):
         raise ValueError(f"non-finite coefficient at index {bad[0]}: {complex(f[bad[0]])}")
+
+
+def require_finite_result(out: Poly, what: str) -> Poly:
+    """Return an op's result ``what`` (its name and order) if every coefficient
+    is finite; the input was, so otherwise the op overflowed float64."""
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{what} overflowed float64: coefficient {i} is {complex(out[i])}")
+    return out
 
 
 def as_unit_series(f) -> Poly:

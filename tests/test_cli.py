@@ -149,13 +149,23 @@ class TestCompute:
         assert result.exit_code == 1
         assert "error: non-finite value in a length-4 transform input" in result.stderr
 
-    @pytest.mark.parametrize("args", ["recip --coeffs 1,1e200 --n 4",
-                                      "sqrt --coeffs 1,1e300 --n 64"], ids=["recip", "sqrt"])
-    def test_overflow_prints_only_the_error_line(self, args):
+    @pytest.mark.parametrize("args, error", [
+        ("recip --coeffs 1,1e200 --n 4", r"non-finite value in a length-\d+ transform input"),
+        ("sqrt --coeffs 1,1e300 --n 64", r"non-finite value in a length-\d+ transform input"),
+        # No transform input is non-finite: only the op's check of its result sees it.
+        ("sqrt --coeffs 1,1e69 --n 3", r"sqrt to order 3 overflowed float64: coefficient 2 is .*"),
+    ], ids=["recip", "sqrt", "sqrt-result"])
+    def test_overflow_prints_only_the_error_line(self, args, error):
         proc = run_cli("compute", *args.split())
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert re.fullmatch(f"error: {error}\n", proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("args", ["compute recip --coeffs 1,0.5", "bench recip"])
+    def test_precision_too_large_to_allocate_exit_one(self, args):
+        # numpy refuses petabytes at once; a size the kernel could overcommit is never tried.
+        proc = run_cli(*args.split(), "--n", str(10**15))
         assert proc.returncode == 1
-        assert re.fullmatch(r"error: non-finite value in a length-\d+ transform input\n",
-                            proc.stderr), proc.stderr
+        assert re.fullmatch(r"error: Unable to allocate .*\n", proc.stderr), proc.stderr
 
     @pytest.mark.parametrize("coeffs, tok", [("1,,0.5", "''"), ("1, ,0.5", "' '"),
                                              ("1,abc", "'abc'")],

@@ -33,6 +33,16 @@ ENTRY_POINTS = {
     "sqrt_newton_coupled": lambda f: sqrt_newton_coupled(f, 4, TransformLedger()),
 }
 
+# name -> (op, arguments before the ledger, what its error names, first bad index)
+OVERFLOWS = {
+    "sqrt": (sqrt, ([1, 1e69], 3), "sqrt to order 3", 2),
+    "recip": (recip, ([1, 1e62], 5), "recip to order 5", 4),
+    "sqrt_rem": (sqrt_rem, ([0, 1e100, 1],), "sqrt_rem remainder at half-degree 1", 0),
+    "recip_schonhage": (recip_schonhage, ([1, 1e103], 4), "recip_schonhage to order 4", 2),
+    "sqrt_newton_coupled": (sqrt_newton_coupled, ([1, 1e66], 3),
+                            "sqrt_newton_coupled root to order 3", 0),
+}
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("op", ENTRY_POINTS)
@@ -51,6 +61,16 @@ class TestInputValidation:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite value in a length-4 transform input"):
                 recip([1, 1e200], 4, TransformLedger())
+
+    @pytest.mark.parametrize("op", OVERFLOWS)
+    def test_overflow_in_the_result_names_the_op(self, op):
+        # Every transform input stays finite: only the op's check of what it
+        # returns sees the overflow, which used to come back as NaN.
+        fn, args, what, index = OVERFLOWS[op]
+        want = re.escape(f"{what} overflowed float64: coefficient {index} is ")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=want):
+                fn(*args, TransformLedger())
 
 
 def all_supported_up_to(limit):
@@ -114,11 +134,12 @@ class TestRoundTrip:
         led = TransformLedger()
         assert np.abs(inverse(forward(p, n, led), led) - p).max() <= 1e-10
 
-    @pytest.mark.parametrize("n", [2**17, 3 * 2**15, 2 * 3**10])
+    @pytest.mark.parametrize("n", [2**17, 3 * 2**15, 2 * 3**10, 2**14, 4 * 3**7])
     def test_working_memory_does_not_grow_with_depth(self, n):
-        # A complex transform holds at most 5 length-n vectors at once (its
-        # padded input, two level buffers and, with a radix-4 level, a short
-        # temporary); keeping every level's copy alive took 11-12.
+        # A complex transform holds 3 length-n vectors at once, its padded
+        # input and two level buffers, at every radix: 2^14 and 4 * 3^7 have
+        # a radix-4 level, whose matrix product needs no temporary.  Keeping
+        # every level's copy alive took 11-12.
         p = np.random.default_rng(n).uniform(-1, 1, n) + 1j
         led = TransformLedger()
         forward(p, n, led)  # builds the twiddle tables, which are kept
@@ -129,22 +150,23 @@ class TestRoundTrip:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 6 * 16 * n
+            assert peak <= 4 * 16 * n
 
 
 class TestSharedTables:
     @pytest.mark.parametrize("n", [96, 3**7, 2**17])
     def test_tables_are_read_only(self, n):
-        # 96 and 2^17 have column and row phase levels and radix-8 levels;
-        # 3^7 is odd, has no real path tables, and runs only radix-3 and
-        # radix-9 levels.  Every matrix-product level's DFT matrix is written.
+        # 96 and 2^17 have column and row phase levels, radix-8 levels and a
+        # radix-4 level; 3^7 is odd, has no real path tables, and runs only
+        # radix-3 and radix-9 levels.  Every matrix-product level's DFT
+        # matrix is written.
         plan = transform._plan(n)
         radices = {radix for radix, _, _ in plan}
         assert n != 3**7 or radices == {3, 9}
-        assert n == 3**7 or 8 in radices
+        assert n == 3**7 or {4, 8} <= radices
         tables = [w for _, w, _ in plan if w is not None]
         tables += list(transform._real_plan(n)) if n % 2 == 0 else []
-        tables += [transform._dft_matrix(radix) for radix in radices if radix not in (2, 4)]
+        tables += [transform._dft_matrix(radix) for radix in radices if radix != 2]
         assert {by_rows for _, _, by_rows in plan} == {False, True}
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -156,6 +178,10 @@ class TestSharedTables:
         quarter = qj % 2 == 0
         assert f[quarter].tolist() == [[1, 1j, -1, -1j][k // 2] for k in qj[quarter]]
         np.testing.assert_allclose(f[~quarter], np.exp(0.25j * np.pi * qj[~quarter]), atol=1e-15)
+
+    def test_radix_4_matrix_is_exact(self):
+        assert transform._dft_matrix(4).tolist() == [
+            [1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]
 
     def test_plans_of_every_length_up_to_2_20(self, monkeypatch):
         # A level's radix must depend on its length L alone: twiddle tables
@@ -208,7 +234,7 @@ class TestSharedTables:
 
 # Every supported length up to 4096, odd (full length + mirror) and even
 # (half length), plus long lengths that run many levels and change layout
-# deep in the loop: 2^19 in radix 4, 2 * 3^11 and 3^12 mostly in radix 9.
+# deep in the loop: 2^19 in radix 8, 2 * 3^11 and 3^12 mostly in radix 9.
 REAL_LENGTHS = all_supported_up_to(4096) + [2**15, 2**19, 2 * 3**11, 3**12]
 
 
